@@ -60,8 +60,8 @@ fn ensemble_scratch(tag: u32) -> std::path::PathBuf {
 /// The exact work one replica does, minus the harness: a bare governed
 /// run of the fixture streaming canonical JSONL through a buffered
 /// writer — the cheapest correct single-run setup. The ensemble replica
-/// deliberately streams unbuffered (its durability invariant), so the
-/// margin charges it for that too.
+/// also buffers its stream, behind the harness-event filter, so the
+/// margin charges it for that filter and its bookkeeping.
 fn bare_replica_secs(cycles: u64, tag: u32) -> f64 {
     let dir = ensemble_scratch(tag);
     let factory = LssFactory::new(ENSEMBLE_SPEC, SchedKind::Compiled);

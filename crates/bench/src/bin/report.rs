@@ -1700,6 +1700,7 @@ fn e20() -> String {
         })
         .min_by(|a, b| a.total_cmp(b))
         .expect("best >= 1");
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let overhead = vec![vec![
         "lss ensemble fixture".into(),
         format!("{:.0}", cycles as f64 / bare_secs),
@@ -1727,15 +1728,15 @@ fn e20() -> String {
          checkpoint and the cut — and nothing in fidelity. The resumed sweep's\n\
          aggregate CSV is asserted byte-identical to the control's while this\n\
          table is generated:\n\n{}\n\
-         The harness price for one replica (manifest, supervision, and the\n\
-         durability invariant's unbuffered line-at-a-time stream writes — a\n\
-         syscall per event — vs a bare buffered-stream run of the same\n\
-         modules):\n\n{}\n\
+         The harness price for one replica (build, manifest, supervision,\n\
+         and the harness-event filter in front of the buffered stream) vs a\n\
+         bare buffered-stream run of the same modules. Best of 3 runs of\n\
+         {cycles} steps each, so expect wide spread between regenerations:\n\n{}\n\
          CI holds the `ensemble/single` margin via `ci/kernel_baseline.tsv`\n\
          and replays the full kill/SIGINT/panic matrix in\n\
          `crates/bench/tests/ensemble_resume.rs` on every push. Numbers are\n\
-         from this 1-vCPU report host: thread scaling is expected to be flat\n\
-         here (the lanes time-slice one core); on a multi-core host the\n\
+         from a {host}-vCPU report host: lanes beyond the core count\n\
+         time-slice, so thread scaling flattens there; below it the\n\
          per-replica wall-clock divides by the lane count as usual.\n",
         table(
             &["replicas", "threads", "wall ms", "ms/replica"],

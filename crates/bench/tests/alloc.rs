@@ -143,3 +143,34 @@ fn a_million_word_transfers_allocate_nothing() {
     let transfers: u64 = sim.transfer_counts().iter().sum();
     assert!(transfers >= 1_000_000, "moved {transfers} values");
 }
+
+/// Observes every event and does nothing with it.
+struct SilentProbe;
+impl Probe for SilentProbe {}
+
+#[test]
+fn jsonl_encoding_adds_no_allocations() {
+    const STEPS: u64 = 1024;
+    // Allocations over STEPS warmed steps of the chain with `probe`
+    // attached (the probed, despecialized path).
+    let measure = |probe: Box<dyn Probe>| {
+        let mut sim = chain(16, SchedKind::Compiled);
+        sim.set_probe(probe);
+        sim.run(4).unwrap();
+        let before = allocs();
+        sim.run(STEPS).unwrap();
+        allocs() - before
+    };
+    let silent = measure(Box::new(SilentProbe));
+    let canonical = measure(Box::new(JsonlProbe::new(std::io::sink()).canonical()));
+    let full = measure(Box::new(JsonlProbe::new(std::io::sink())));
+    assert_eq!(
+        canonical, silent,
+        "canonical JSONL encoding must not allocate"
+    );
+    assert_eq!(
+        full, silent,
+        "JSONL resolve and transfer encoding must not allocate"
+    );
+    assert_eq!(silent, 0, "the probed step loop must not allocate");
+}

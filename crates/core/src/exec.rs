@@ -222,6 +222,9 @@ pub struct Simulator {
     active: Vec<bool>,
     /// Cumulative per-edge completed-transfer counts.
     transfer_counts: Vec<u64>,
+    /// Scratch for the probe's edge-ordered transfer list, reused across
+    /// steps.
+    probe_edges: Vec<EdgeId>,
     /// Fault-injection / watchdog / quarantine state; `None` (the
     /// default) keeps the hot path on the fault-free monomorphization.
     resil: Option<Box<ResilState>>,
@@ -312,6 +315,7 @@ impl Simulator {
             wake_buf: Vec::new(),
             active: vec![false; n],
             transfer_counts: vec![0; n_edges],
+            probe_edges: Vec::new(),
             resil: None,
             ckpt: None,
             sup: None,
@@ -856,6 +860,12 @@ impl Simulator {
     /// set, and emit the `checkpoint` probe event. The auto-checkpoint
     /// path calls this every N steps; hosts can also call it directly at
     /// any step boundary.
+    ///
+    /// Before a checkpoint file is written the probe is flushed
+    /// ([`Probe::flush`]), so every event of the steps the checkpoint
+    /// covers has reached the OS first: a buffered event stream never
+    /// lags a durable checkpoint, which is what lets a resume trim the
+    /// stream to the checkpoint's step and append.
     pub fn checkpoint_now(&mut self) -> Result<(), SimError> {
         let snap = Arc::new(self.snapshot()?);
         let now = self.now;
@@ -868,7 +878,16 @@ impl Simulator {
                     msg: e.to_string(),
                 })
             })?;
-            snap.write_file(&dir.join(format!("step-{now:08}.ckpt")))?;
+            let path = dir.join(format!("step-{now:08}.ckpt"));
+            if let Some(p) = self.probe.as_deref_mut() {
+                p.flush().map_err(|e| {
+                    SimError::checkpoint(CheckpointError::Io {
+                        path: path.clone(),
+                        msg: format!("flushing the probe stream first: {e}"),
+                    })
+                })?;
+            }
+            snap.write_file(&path)?;
         }
         if let Some(p) = self.probe.as_deref_mut() {
             p.checkpointed(now);
@@ -2011,6 +2030,7 @@ impl Simulator {
             probe,
             active,
             transfer_counts,
+            probe_edges,
             resil,
             ..
         } = self;
@@ -2103,9 +2123,10 @@ impl Simulator {
                 // Sort a copy by edge id so trace output is deterministic
                 // across schedulers (the set is; the resolution order is
                 // not).
-                let mut edges: Vec<EdgeId> = store.transfers().to_vec();
-                edges.sort_unstable_by_key(|e| e.0);
-                for e in edges {
+                probe_edges.clear();
+                probe_edges.extend_from_slice(store.transfers());
+                probe_edges.sort_unstable_by_key(|e| e.0);
+                for &e in probe_edges.iter() {
                     let em = topo.edge_meta(e);
                     let Some(v) = store.transferred(e) else {
                         return Err(SimError::internal(format!(

@@ -857,7 +857,7 @@ pub(crate) struct SeqK {
 
 impl SeqK {
     fn react(&self, io: &mut Io<'_>) -> Result<(), SimError> {
-        let due = self.remaining > 0 && io.now % self.period == 0;
+        let due = self.remaining > 0 && io.now.is_multiple_of(self.period);
         if due {
             io.send(self.out, KVal::Word(self.next_val))
         } else {
@@ -1559,10 +1559,10 @@ pub(crate) fn classify(
     // Lanes: an edge is fast iff both endpoints are eligible.
     let mut lane_of = vec![NO_LANE; n_edges];
     let mut lane_edges = Vec::new();
-    for e in 0..n_edges {
+    for (e, lane) in lane_of.iter_mut().enumerate() {
         let em = topo.edge_meta(EdgeId(e as u32));
         if eligible[em.src.inst.0 as usize] && eligible[em.dst.inst.0 as usize] {
-            lane_of[e] = lane_edges.len() as u32;
+            *lane = lane_edges.len() as u32;
             lane_edges.push(EdgeId(e as u32));
         }
     }
@@ -1633,17 +1633,17 @@ impl SpecState {
         let n = topo.instance_count();
         self.kernels.clear();
         self.kernels.resize_with(n, || None);
-        for i in 0..n {
+        for (i, module) in modules.iter().enumerate().take(n) {
             if !self.plan.eligible[i] {
                 continue;
             }
-            let hint = modules[i].specialize().ok_or_else(|| {
+            let hint = module.specialize().ok_or_else(|| {
                 SimError::internal(format!(
                     "{}: eligible instance stopped offering a kernel hint",
                     topo.name(InstanceId(i as u32))
                 ))
             })?;
-            let blob = modules[i].state_save()?;
+            let blob = module.state_save()?;
             self.kernels[i] = Some(Kernel::materialize(hint, &blob, topo, i, &self.plan)?);
         }
         for l in &mut self.lanes {
@@ -1873,7 +1873,7 @@ mod tests {
         assert_eq!(io.out_ack(OutLane::Unconnected), YES_S);
         io.send(OutLane::Unconnected, KVal::Word(1)).unwrap();
         io.set_ack(InLane::Unconnected, true).unwrap();
-        assert!(out_transferred(&io.lanes, io.store, OutLane::Unconnected));
+        assert!(out_transferred(io.lanes, io.store, OutLane::Unconnected));
         assert_eq!(in_transferred(io.lanes, InLane::Unconnected), None);
     }
 }

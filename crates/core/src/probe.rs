@@ -121,6 +121,13 @@ pub trait Probe: Send {
     /// tripped and is exiting at the step boundary before step `now`
     /// (after draining in-flight work and taking a final checkpoint).
     fn run_cancelled(&mut self, now: u64) {}
+
+    /// Push everything emitted so far to the underlying sink. The kernel
+    /// calls this before it writes each checkpoint file to a checkpoint
+    /// directory, so a buffered stream never lags a durable checkpoint.
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Observer of completed transfers only — the original, narrow tracing
@@ -276,6 +283,18 @@ impl Probe for MultiProbe {
             p.run_cancelled(now);
         }
     }
+    fn flush(&mut self) -> std::io::Result<()> {
+        // Flush every sink even when an earlier one fails; report the
+        // first failure.
+        let mut first = Ok(());
+        for p in &mut self.probes {
+            let r = p.flush();
+            if first.is_ok() {
+                first = r;
+            }
+        }
+        first
+    }
 }
 
 /// Event counters, shared through [`ProbeCountsHandle`]. The cheapest
@@ -396,19 +415,44 @@ impl Probe for CountingProbe {
 /// backslashes and control characters). Shared by the JSONL sink and the
 /// front ends' `--metrics-out` writer.
 pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    JsonEsc(s).to_string()
+}
+
+/// Display adapter that JSON-escapes whatever its inner value renders,
+/// writing straight into the destination: `write!(out, "\"{}\"",
+/// JsonEsc(value))` encodes without building a temporary `String`.
+pub struct JsonEsc<T>(pub T);
+
+impl<T: std::fmt::Display> std::fmt::Display for JsonEsc<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Escaper<'a, 'b>(&'a mut std::fmt::Formatter<'b>);
+        impl std::fmt::Write for Escaper<'_, '_> {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                // Every escaped character is ASCII, so byte offsets of
+                // matches are char boundaries and plain runs are copied
+                // whole.
+                let mut plain = 0;
+                for (i, b) in s.bytes().enumerate() {
+                    if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                        continue;
+                    }
+                    self.0.write_str(&s[plain..i])?;
+                    plain = i + 1;
+                    match b {
+                        b'"' => self.0.write_str("\\\"")?,
+                        b'\\' => self.0.write_str("\\\\")?,
+                        b'\n' => self.0.write_str("\\n")?,
+                        b'\r' => self.0.write_str("\\r")?,
+                        b'\t' => self.0.write_str("\\t")?,
+                        _ => write!(self.0, "\\u{b:04x}")?,
+                    }
+                }
+                self.0.write_str(&s[plain..])
+            }
         }
+        use std::fmt::Write as _;
+        write!(Escaper(f), "{}", self.0)
     }
-    out
 }
 
 #[cfg(test)]
@@ -420,6 +464,11 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         assert_eq!(json_escape("plain.name[0]"), "plain.name[0]");
+        assert_eq!(json_escape("\t\r\u{1f}é\""), "\\t\\r\\u001fé\\\"");
+        assert_eq!(
+            JsonEsc(Value::Str("a\"b".into())).to_string(),
+            "\\\"a\\\\\\\"b\\\""
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! attribution in [`crate::profile`].
 
 use crate::netlist::{EdgeId, InstanceId};
-use crate::probe::{json_escape, Probe, ResolvedBy, Tracer};
+use crate::probe::{JsonEsc, Probe, ResolvedBy, Tracer};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use crate::value::Value;
@@ -215,17 +215,17 @@ fn wire_name(w: Wire) -> &'static str {
 
 impl<W: Write + Send> Probe for JsonlProbe<W> {
     fn attach(&mut self, topo: &Topology) {
-        let names: Vec<String> = topo
-            .instance_names()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect();
-        let _ = writeln!(
+        let _ = write!(
             self.out,
-            "{{\"t\":\"attach\",\"instances\":{},\"edges\":{},\"names\":[{}]}}",
+            "{{\"t\":\"attach\",\"instances\":{},\"edges\":{},\"names\":[",
             topo.instance_count(),
             topo.edge_count(),
-            names.join(",")
         );
+        for (i, n) in topo.instance_names().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(self.out, "{sep}\"{}\"", JsonEsc(n));
+        }
+        let _ = writeln!(self.out, "]}}");
     }
 
     fn step_begin(&mut self, now: u64) {
@@ -268,20 +268,19 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
         if self.canonical {
             return;
         }
-        let by_s = match by {
-            ResolvedBy::Module(i) => format!("{}", i.0),
-            ResolvedBy::Default => "\"default\"".to_owned(),
-        };
-        let val_s = match value {
-            Some(v) => format!(",\"value\":\"{}\"", json_escape(&v.to_string())),
-            None => String::new(),
-        };
-        let _ = writeln!(
+        let _ = write!(
             self.out,
-            "{{\"t\":\"resolve\",\"now\":{now},\"edge\":{},\"wire\":\"{}\",\"yes\":{yes}{val_s},\"by\":{by_s}}}",
+            "{{\"t\":\"resolve\",\"now\":{now},\"edge\":{},\"wire\":\"{}\",\"yes\":{yes}",
             edge.0,
             wire_name(wire),
         );
+        if let Some(v) = value {
+            let _ = write!(self.out, ",\"value\":\"{}\"", JsonEsc(v));
+        }
+        let _ = match by {
+            ResolvedBy::Module(i) => writeln!(self.out, ",\"by\":{}}}", i.0),
+            ResolvedBy::Default => writeln!(self.out, ",\"by\":\"default\"}}"),
+        };
     }
 
     fn transfer(&mut self, now: u64, edge: EdgeId, src: &str, dst: &str, value: &Value) {
@@ -289,9 +288,9 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
             self.out,
             "{{\"t\":\"transfer\",\"now\":{now},\"edge\":{},\"src\":\"{}\",\"dst\":\"{}\",\"value\":\"{}\"}}",
             edge.0,
-            json_escape(src),
-            json_escape(dst),
-            json_escape(&value.to_string()),
+            JsonEsc(src),
+            JsonEsc(dst),
+            JsonEsc(value),
         );
     }
 
@@ -316,7 +315,7 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
             self.out,
             "{{\"t\":\"inst_fault\",\"now\":{now},\"inst\":{},\"kind\":\"{}\"}}",
             inst.0,
-            json_escape(kind),
+            JsonEsc(kind),
         );
     }
 
@@ -325,7 +324,7 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
             self.out,
             "{{\"t\":\"quarantine\",\"now\":{now},\"inst\":{},\"reason\":\"{}\"}}",
             inst.0,
-            json_escape(reason),
+            JsonEsc(reason),
         );
     }
 
@@ -341,12 +340,16 @@ impl<W: Write + Send> Probe for JsonlProbe<W> {
         let _ = writeln!(
             self.out,
             "{{\"t\":\"rollback\",\"now\":{now},\"to\":{to},\"reason\":\"{}\"}}",
-            json_escape(reason),
+            JsonEsc(reason),
         );
     }
 
     fn run_cancelled(&mut self, now: u64) {
         let _ = writeln!(self.out, "{{\"t\":\"cancel\",\"now\":{now}}}");
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()
     }
 }
 

@@ -270,6 +270,10 @@ impl<W: Write + Send> Probe for VcdProbe<W> {
         }
         self.touched.clear();
     }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()
+    }
 }
 
 impl<W: Write + Send> Drop for VcdProbe<W> {

@@ -18,8 +18,9 @@
 //! 2. on resume the stream is trimmed to events strictly before the
 //!    checkpoint's step (atomically: temp file + rename) and the
 //!    restored simulator re-emits the rest deterministically — sound
-//!    because streams are written line-at-a-time unbuffered, so a
-//!    durable checkpoint never gets ahead of the durable stream;
+//!    because the kernel flushes the buffered stream to the OS before it
+//!    writes each checkpoint file, so a durable checkpoint never gets
+//!    ahead of the durable stream;
 //! 3. the aggregate CSV is regenerated from terminal manifest records
 //!    only — fields that depend on interruption history (wall-clock,
 //!    replay counts) never enter it.
@@ -108,8 +109,11 @@ const HARNESS_PREFIXES: [&[u8]; 5] = [
     b"{\"t\":\"rollback\"",
 ];
 
+/// Write-buffer size of a replica's stream file.
+const STREAM_BUF: usize = 64 * 1024;
+
 /// Line-buffering writer that drops harness events on the way to the
-/// replica's stream file.
+/// replica's stream file. `buf` holds at most one partial line.
 struct FilterWrite<W: Write> {
     inner: W,
     buf: Vec<u8>,
@@ -126,17 +130,23 @@ impl<W: Write> FilterWrite<W> {
 
 impl<W: Write> Write for FilterWrite<W> {
     fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(b);
-        while let Some(pos) = self.buf.iter().position(|&c| c == b'\n') {
-            {
-                let line = &self.buf[..=pos];
-                if !HARNESS_PREFIXES.iter().any(|p| line.starts_with(p)) {
-                    self.inner.write_all(line)?;
-                }
-            }
-            self.buf.drain(..=pos);
-        }
-        Ok(b.len())
+        // The pending partial line holds no newline, so only `b` needs
+        // scanning.
+        let Some(last) = b.iter().rposition(|&c| c == b'\n') else {
+            self.buf.extend_from_slice(b);
+            return Ok(b.len());
+        };
+        self.buf.extend_from_slice(&b[..=last]);
+        let sent = self
+            .buf
+            .split_inclusive(|&c| c == b'\n')
+            .filter(|line| !HARNESS_PREFIXES.iter().any(|p| line.starts_with(p)))
+            .try_for_each(|line| self.inner.write_all(line));
+        // Consumed lines leave the buffer even on error, so a failed
+        // write is never replayed as a duplicate line.
+        self.buf.clear();
+        self.buf.extend_from_slice(&b[last + 1..]);
+        sent.map(|()| b.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -617,12 +627,13 @@ fn replica_body<F: ReplicaFactory>(
     } else {
         std::fs::File::create(&stream_path).map_err(|e| format!("create stream: {e}"))?
     };
-    // Deliberately unbuffered (FilterWrite already coalesces to whole
-    // lines): every event line reaches the OS before the kernel can
-    // persist any later checkpoint, so a `kill -9` never leaves a
-    // durable checkpoint ahead of the durable stream — the hole a
-    // resume could not refill.
-    let sink = FilterWrite::new(file);
+    // Buffered: the kernel flushes the probe before it writes each
+    // checkpoint file, so every event line of the steps a checkpoint
+    // covers reaches the OS first and a `kill -9` never leaves a durable
+    // checkpoint ahead of the durable stream — the hole a resume could
+    // not refill. A torn tail past the newest checkpoint is trimmed on
+    // resume.
+    let sink = FilterWrite::new(std::io::BufWriter::with_capacity(STREAM_BUF, file));
     sim.set_probe(Box::new(JsonlProbe::new(sink).canonical()));
 
     sim.set_checkpoint_dir(&ckpt_dir);
@@ -644,7 +655,11 @@ fn replica_body<F: ReplicaFactory>(
 
     let remaining = config.cycles.saturating_sub(sim.now());
     let report = sim.run_governed(remaining);
-    drop(sim.take_probe()); // flush the stream through the filter
+    // Flush the stream through the filter; dropping the probe would
+    // discard a write error.
+    if let Some(mut probe) = sim.take_probe() {
+        probe.flush().map_err(|e| format!("flush stream: {e}"))?;
+    }
 
     let rel_ckpt = report.last_checkpoint.as_ref().and_then(|p| {
         p.strip_prefix(dir)
@@ -753,6 +768,28 @@ mod tests {
             String::from_utf8(out).unwrap(),
             "{\"t\":\"step\",\"now\":0}\n{\"t\":\"transfer\",\"now\":1}\n"
         );
+    }
+
+    #[test]
+    fn filter_over_bufwriter_delivers_filtered_lines_on_flush() {
+        let mut out = Vec::new();
+        {
+            let mut f = FilterWrite::new(std::io::BufWriter::with_capacity(STREAM_BUF, &mut out));
+            f.write_all(b"{\"t\":\"attach\",\"instances\":2}\n{\"t\":\"step\",\"now\":0}\n")
+                .unwrap();
+            f.write_all(b"{\"t\":\"checkpoint\",\"now\":1}\n{\"t\":\"step\",")
+                .unwrap();
+            f.write_all(b"\"now\":1}\n{\"t\":\"cancel\",\"now\":2}\n{\"t\":\"st")
+                .unwrap();
+            assert!(f.inner.get_ref().is_empty(), "nothing written before flush");
+            f.flush().unwrap();
+            assert_eq!(
+                String::from_utf8(f.inner.get_ref().to_vec()).unwrap(),
+                "{\"t\":\"step\",\"now\":0}\n{\"t\":\"step\",\"now\":1}\n",
+                "flush delivers complete simulation lines only"
+            );
+            assert_eq!(f.buf, b"{\"t\":\"st", "the partial line stays pending");
+        }
     }
 
     #[test]
