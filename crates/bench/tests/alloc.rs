@@ -174,3 +174,43 @@ fn jsonl_encoding_adds_no_allocations() {
     );
     assert_eq!(silent, 0, "the probed step loop must not allocate");
 }
+
+#[test]
+fn dynamic_arbiter_and_queue_allocate_nothing() {
+    const STEPS: u64 = 4096;
+    // Two word sources contend at a round-robin arbiter that feeds a
+    // depth-1 queue: the queue is full on every other step, so its react
+    // takes the contended (two-pass) branch and the arbiter stalls.
+    let mut b = NetlistBuilder::new();
+    let src_spec = ModuleSpec::new("wsrc").output("out", 1, 1);
+    let s0 = b.add("s0", src_spec.clone(), Box::new(WordSrc)).unwrap();
+    let s1 = b.add("s1", src_spec, Box::new(WordSrc)).unwrap();
+    let (a_spec, a_mod) =
+        liberty_pcl::arbiter::arbiter(&Params::new().with("policy", "round_robin")).unwrap();
+    let arb = b.add("arb", a_spec, a_mod).unwrap();
+    let (q_spec, q_mod) = liberty_pcl::queue::queue(&Params::new().with("depth", 1i64)).unwrap();
+    let q = b.add("q", q_spec, q_mod).unwrap();
+    let (k_spec, k_mod) = liberty_pcl::sink::counting(&Params::new()).unwrap();
+    let k = b.add("k", k_spec, k_mod).unwrap();
+    b.connect(s0, "out", arb, "in").unwrap();
+    b.connect(s1, "out", arb, "in").unwrap();
+    b.connect(arb, "out", q, "in").unwrap();
+    b.connect(q, "out", k, "in").unwrap();
+    let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Compiled);
+    sim.set_specialization(false);
+    sim.run(16).unwrap();
+    let before = allocs();
+    sim.run(STEPS).unwrap();
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state dynamic arbiter/queue handlers must not allocate"
+    );
+    let stats = sim.stats();
+    assert!(stats.counter(q, "full_cycles") >= STEPS / 2);
+    assert!(stats.counter(arb, "stalled") >= STEPS / 2);
+    let received = stats.counter(k, "received");
+    assert!(received >= STEPS / 2, "received {received}");
+    assert_eq!(stats.counter(arb, "grants"), stats.counter(q, "enq"));
+}

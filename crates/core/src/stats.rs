@@ -11,6 +11,12 @@
 //! hash gets, and the cross-instance totals ([`Stats::counter_total`],
 //! [`Stats::sample_total`]) reduce one inner map instead of scanning the
 //! whole store.
+//!
+//! The increment path ([`Stats::count`], [`Stats::sample`],
+//! [`Stats::histo`]) hashes nothing once warm: each instance keeps a short
+//! list of the slots its stat names resolved to, keyed by the name's
+//! address and length, so a handler that records the same literal every
+//! step pays a scan of a few entries instead of two hash gets.
 
 use crate::netlist::InstanceId;
 use std::collections::BTreeMap;
@@ -171,10 +177,15 @@ pub(crate) const STAT_SLOT_UNRESOLVED: u32 = u32::MAX;
 ///
 /// Values live in dense per-kind slot vectors; the name/instance maps
 /// hold `u32` indices into them. The indirection is invisible to the
-/// public API, but it gives the specialized handler kernels
-/// (`crate::kernel`) an O(1), hash-free increment path: resolve a slot
-/// once via the cached accessors below, then bump the vector entry
-/// directly on every subsequent step.
+/// public API, but it gives every increment a hash-free path. The
+/// specialized handler kernels (`crate::kernel`) resolve a slot once via
+/// the `*_cached` accessors below and keep it in their own fields. The
+/// dynamic handlers' `count`/`sample`/`histo` calls go through a private
+/// per-instance slot cache instead: a short list of `(name address, name
+/// length, kind) -> slot` entries, filled on a miss from the hashed path.
+/// The name's address is only a cache key: two equal names at different
+/// addresses each miss once and resolve to the same slot, so every read
+/// (which goes through the name-first maps) sees one entry per name.
 #[derive(Default, Debug)]
 pub struct Stats {
     counters: HashMap<&'static str, HashMap<u32, u32>>,
@@ -183,7 +194,32 @@ pub struct Stats {
     counter_vals: Vec<u64>,
     sample_vals: Vec<Sample>,
     histo_vals: Vec<Histogram>,
+    /// Increment-path slot cache, indexed by instance id.
+    slot_cache: Vec<Vec<CachedSlot>>,
 }
+
+/// Which slot vector a [`CachedSlot`] indexes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum StatKind {
+    Counter,
+    Sample,
+    Histogram,
+}
+
+/// One resolved `(name, kind) -> slot` entry of an instance. A
+/// `&'static str` is never freed, so its address and length identify
+/// its text for the life of the process.
+#[derive(Clone, Copy, Debug)]
+struct CachedSlot {
+    addr: usize,
+    len: usize,
+    kind: StatKind,
+    slot: u32,
+}
+
+/// Instances with ids at or above this take the hashed path on every
+/// call; the bound keeps a stray huge id from sizing the cache's index.
+const SLOT_CACHE_MAX_INSTANCES: usize = 1 << 20;
 
 impl Stats {
     /// Empty store.
@@ -238,29 +274,75 @@ impl Stats {
             })
     }
 
+    /// Slot of `(inst, name, kind)` from the instance's slot cache, or
+    /// `resolve`d through the name-first maps and remembered on a miss.
+    #[inline]
+    fn cached_slot(
+        &mut self,
+        inst: InstanceId,
+        name: &'static str,
+        kind: StatKind,
+        resolve: fn(&mut Self, InstanceId, &'static str) -> u32,
+    ) -> u32 {
+        let (addr, len) = (name.as_ptr() as usize, name.len());
+        if let Some(hit) = self.slot_cache.get(inst.0 as usize).and_then(|list| {
+            list.iter()
+                .find(|c| c.addr == addr && c.len == len && c.kind == kind)
+        }) {
+            return hit.slot;
+        }
+        self.cache_miss(inst, name, kind, resolve)
+    }
+
+    /// Slow half of [`Stats::cached_slot`]: the hashed lookup, then a new
+    /// cache entry (unless the id is past [`SLOT_CACHE_MAX_INSTANCES`]).
+    #[cold]
+    fn cache_miss(
+        &mut self,
+        inst: InstanceId,
+        name: &'static str,
+        kind: StatKind,
+        resolve: fn(&mut Self, InstanceId, &'static str) -> u32,
+    ) -> u32 {
+        let slot = resolve(self, inst, name);
+        let i = inst.0 as usize;
+        if i < SLOT_CACHE_MAX_INSTANCES {
+            if self.slot_cache.len() <= i {
+                self.slot_cache.resize_with(i + 1, Vec::new);
+            }
+            self.slot_cache[i].push(CachedSlot {
+                addr: name.as_ptr() as usize,
+                len: name.len(),
+                kind,
+                slot,
+            });
+        }
+        slot
+    }
+
     /// Add `by` to a counter of an instance. Wrapping, so counters can be
     /// used as order-independent checksums of arbitrary word streams.
     pub fn count(&mut self, inst: InstanceId, name: &'static str, by: u64) {
-        let slot = self.counter_slot(inst, name);
+        let slot = self.cached_slot(inst, name, StatKind::Counter, Self::counter_slot);
         let c = &mut self.counter_vals[slot as usize];
         *c = c.wrapping_add(by);
     }
 
     /// Record one sample of a quantity of an instance.
     pub fn sample(&mut self, inst: InstanceId, name: &'static str, v: f64) {
-        let slot = self.sample_slot(inst, name);
+        let slot = self.cached_slot(inst, name, StatKind::Sample, Self::sample_slot);
         self.sample_vals[slot as usize].add(v);
     }
 
     /// Record one value into a log2-bucket histogram of an instance.
     pub fn histo(&mut self, inst: InstanceId, name: &'static str, v: u64) {
-        let slot = self.histo_slot(inst, name);
+        let slot = self.cached_slot(inst, name, StatKind::Histogram, Self::histo_slot);
         self.histo_vals[slot as usize].record(v);
     }
 
     /// Counter bump through a caller-cached slot: resolves the slot on
-    /// first use (two hash gets, entry creation — exactly what
-    /// [`Stats::count`] would do), then a single vector index ever after.
+    /// first use (two hash gets, entry creation — what [`Stats::count`]
+    /// does on a slot-cache miss), then a single vector index ever after.
     /// The hot path of the specialized kernels.
     #[inline]
     pub(crate) fn count_cached(
@@ -410,7 +492,8 @@ impl Stats {
     /// names in the live store are `&'static str`; names arriving from
     /// disk are interned (leaked once per distinct name, deduplicated
     /// process-wide) so the rebuilt store is indistinguishable from one
-    /// the modules populated themselves.
+    /// the modules populated themselves. Its slot cache starts empty and
+    /// refills from the rebuilt maps on first touch of each name.
     pub(crate) fn restore_from_dump(d: &StatsDump) -> Stats {
         fn rebuild<V: Clone>(
             src: &[(String, Vec<(u32, V)>)],
@@ -441,6 +524,7 @@ impl Stats {
             counter_vals,
             sample_vals,
             histo_vals,
+            slot_cache: Vec::new(),
         }
     }
 
@@ -670,6 +754,84 @@ mod tests {
             s.histogram(InstanceId(0), "occ")
         );
         assert_eq!(r.dump(), d, "dump -> restore -> dump is a fixed point");
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_is_one_stat() {
+        // The slot cache keys on the name's address; equal text at a
+        // second address must still land in the same counter.
+        let leaked: &'static str = Box::leak(String::from("hits").into_boxed_str());
+        let literal: &'static str = "hits";
+        assert_ne!(leaked.as_ptr(), literal.as_ptr());
+        let mut s = Stats::new();
+        let i = InstanceId(0);
+        s.count(i, literal, 2);
+        s.count(i, leaked, 3);
+        s.count(i, literal, 4);
+        s.count(i, leaked, 1);
+        s.sample(i, leaked, 1.0);
+        s.sample(i, literal, 3.0);
+        assert_eq!(s.counter(i, "hits"), 10);
+        assert_eq!(s.get_sample(i, "hits").unwrap().n, 2);
+        let r = s.report(&["a"]);
+        assert_eq!(r.counters.len(), 1);
+        assert_eq!(r.counters["a.hits"], 10);
+        assert_eq!(r.samples.len(), 1);
+        assert_eq!(s.dump().counters, vec![("hits".to_owned(), vec![(0, 10)])]);
+    }
+
+    #[test]
+    fn kinds_sharing_a_name_stay_separate() {
+        let mut s = Stats::new();
+        let i = InstanceId(4);
+        for _ in 0..2 {
+            s.count(i, "lat", 5);
+            s.sample(i, "lat", 2.0);
+            s.histo(i, "lat", 7);
+        }
+        assert_eq!(s.counter(i, "lat"), 10);
+        let smp = s.get_sample(i, "lat").unwrap();
+        assert_eq!((smp.n, smp.sum), (2, 4.0));
+        let h = s.histogram(i, "lat").unwrap();
+        assert_eq!((h.count(), h.sum()), (2, 14));
+    }
+
+    #[test]
+    fn instance_ids_beyond_the_cache_work() {
+        let mut s = Stats::new();
+        let ids = [0, 1000, 5, SLOT_CACHE_MAX_INSTANCES as u32 + 7, u32::MAX];
+        for round in 1..=3u64 {
+            for &id in &ids {
+                s.count(InstanceId(id), "n", round);
+            }
+        }
+        for &id in &ids {
+            assert_eq!(s.counter(InstanceId(id), "n"), 6, "instance {id}");
+        }
+        assert_eq!(s.counter_total("n"), 6 * ids.len() as u64);
+        // Ids past the bound take the hashed path and do not size the cache.
+        assert_eq!(s.slot_cache.len(), 1001);
+    }
+
+    #[test]
+    fn restored_store_counts_into_restored_slots() {
+        let mut s = Stats::new();
+        s.count(InstanceId(2), "enq", 5);
+        s.sample(InstanceId(2), "occ", 1.0);
+        s.histo(InstanceId(2), "occ", 3);
+        let mut r = Stats::restore_from_dump(&s.dump());
+        for _ in 0..2 {
+            r.count(InstanceId(2), "enq", 1);
+            r.sample(InstanceId(2), "occ", 2.0);
+            r.histo(InstanceId(2), "occ", 3);
+        }
+        assert_eq!(r.counter(InstanceId(2), "enq"), 7);
+        assert_eq!(r.get_sample(InstanceId(2), "occ").unwrap().n, 3);
+        assert_eq!(r.histogram(InstanceId(2), "occ").unwrap().count(), 3);
+        let d = r.dump();
+        assert_eq!(d.counters, vec![("enq".to_owned(), vec![(2, 7)])]);
+        assert_eq!(d.samples.len(), 1);
+        assert_eq!(d.histograms.len(), 1);
     }
 
     #[test]
