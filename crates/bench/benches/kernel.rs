@@ -225,10 +225,10 @@ fn main() {
 
     // --- Supervisor parity: governed (never-binding budget) vs off ---
     // The baseline guard below compares the supervisor-OFF runs, which
-    // is the default path: with no governance installed, `run()` pays a
-    // single `Option` check per call and nothing per step. This table
-    // documents what arming the supervisor costs when its budgets never
-    // bind (one boundary check per step).
+    // is the default path: with no governance installed, the step loop
+    // pays a single `Option` check per step and builds no report. This
+    // table documents what arming the supervisor costs when its budgets
+    // never bind (the budget checks at each step boundary).
     let mut rows = Vec::new();
     for &w in WORKLOADS {
         let off = off_runs
@@ -261,14 +261,31 @@ fn main() {
         )
     );
 
-    // --- Handler specialization: serial compiled plan, kernels on/off ---
-    let spec_best = |on: bool| {
-        (0..best.max(1))
-            .map(|_| run_workload_specialized(W_PCL, cycles, on))
+    // --- Handler specialization: compiled plan, kernels on/off ---
+    // The reps interleave, alternating which side runs first, so host
+    // drift during the measurement lands on both sides of the margin.
+    let (mut on_runs, mut dyn_runs) = (Vec::new(), Vec::new());
+    for rep in 0..best.max(1) {
+        let order = if rep % 2 == 0 {
+            [true, false]
+        } else {
+            [false, true]
+        };
+        for on in order {
+            let r = run_workload_specialized(W_PCL, cycles, on);
+            if on {
+                on_runs.push(r);
+            } else {
+                dyn_runs.push(r);
+            }
+        }
+    }
+    let fastest = |runs: Vec<KernelRun>| {
+        runs.into_iter()
             .min_by(|a, b| a.secs.total_cmp(&b.secs))
             .expect("best >= 1")
     };
-    let (spec_on, spec_off) = (spec_best(true), spec_best(false));
+    let (spec_on, spec_off) = (fastest(on_runs), fastest(dyn_runs));
     let spec_margin = spec_on.steps_per_sec() / spec_off.steps_per_sec();
     println!(
         "{}",

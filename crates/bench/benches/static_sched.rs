@@ -1,19 +1,12 @@
-//! Static-schedule compilation throughput (experiment E18): all five
-//! schedulers on the three kernel workloads, plus the parallel-level
-//! scaling section — the 8-core CMP under `CompiledParallel` at explicit
-//! thread counts against the serial `Compiled` plan.
+//! Static-schedule compilation throughput (experiment E18): all four
+//! schedulers on the three kernel workloads.
 //!
-//! The first table answers the headline question: how much does
-//! compiling the port-connection graph into a fixed SCC-condensed plan
-//! buy over the dynamic worklist schedulers? The `vs best dynamic`
-//! column is `Compiled` steps/sec divided by the better of `Dynamic`
-//! and `Static` on the same workload (the E18 acceptance bar is 1.5x on
-//! the acyclic workloads).
-//!
-//! The second table pins the CMP workload and sweeps the parallel
-//! scheduler's thread count. On a single-core host the pool degenerates
-//! to one caller lane and the numbers show pure coordination overhead;
-//! on a real multi-core host the wide CMP levels split across lanes.
+//! The table answers the headline question: how much does compiling
+//! the port-connection graph into a fixed SCC-condensed plan buy over
+//! the dynamic worklist schedulers? The `vs best dynamic` column is
+//! `Compiled` steps/sec divided by the better of `Dynamic` and `Static`
+//! on the same workload (the E18 acceptance bar is 1.5x on the acyclic
+//! workloads).
 //!
 //! Flags (after `--`):
 //!
@@ -23,8 +16,8 @@
 //! --best-of N   keep the best of N runs per cell (default 3)
 //! ```
 
-use liberty_bench::kernel::{build, run_workload, KernelRun, WORKLOADS};
-use liberty_bench::{table, timed};
+use liberty_bench::kernel::{run_workload, KernelRun, WORKLOADS};
+use liberty_bench::table;
 use liberty_core::prelude::SchedKind;
 
 const ALL_SCHEDS: &[SchedKind] = &[
@@ -32,36 +25,12 @@ const ALL_SCHEDS: &[SchedKind] = &[
     SchedKind::Dynamic,
     SchedKind::Static,
     SchedKind::Compiled,
-    SchedKind::CompiledParallel,
 ];
 
 /// Best (least-interfered) of `n` measurements.
 fn best_of(n: u32, workload: &'static str, sched: SchedKind, cycles: u64) -> KernelRun {
     (0..n.max(1))
         .map(|_| run_workload(workload, sched, cycles))
-        .min_by(|a, b| a.secs.total_cmp(&b.secs))
-        .expect("n >= 1")
-}
-
-/// Like [`run_workload`] but with an explicit `CompiledParallel` thread
-/// count (0 = auto-detect), so the scaling table can sweep lane counts
-/// the shared runner leaves on auto.
-fn run_parallel(workload: &'static str, threads: usize, cycles: u64) -> KernelRun {
-    let mut sim = build(workload, SchedKind::CompiledParallel);
-    sim.set_parallelism(threads);
-    sim.run(cycles / 10).unwrap();
-    let (_, secs) = timed(|| sim.run(cycles).unwrap());
-    KernelRun {
-        workload,
-        sched: SchedKind::CompiledParallel,
-        cycles,
-        secs,
-    }
-}
-
-fn best_of_parallel(n: u32, workload: &'static str, threads: usize, cycles: u64) -> KernelRun {
-    (0..n.max(1))
-        .map(|_| run_parallel(workload, threads, cycles))
         .min_by(|a, b| a.secs.total_cmp(&b.secs))
         .expect("n >= 1")
 }
@@ -90,7 +59,7 @@ fn main() {
         }
     }
 
-    // --- All five schedulers on every kernel workload ---
+    // --- All four schedulers on every kernel workload ---
     let mut rows = Vec::new();
     for &w in WORKLOADS {
         let runs: Vec<KernelRun> = ALL_SCHEDS
@@ -122,28 +91,5 @@ fn main() {
             &["workload", "scheduler", "steps/sec", "vs best dynamic"],
             &rows
         )
-    );
-
-    // --- CMP parallel-level scaling: thread count sweep ---
-    let cmp = WORKLOADS[1];
-    let serial = best_of(best, cmp, SchedKind::Compiled, cycles);
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut rows = vec![vec![
-        "Compiled (serial)".to_string(),
-        format!("{:.0}", serial.steps_per_sec()),
-        "1.00x".to_string(),
-    ]];
-    for threads in [1usize, 2, 4, 8] {
-        let r = best_of_parallel(best, cmp, threads, cycles);
-        rows.push(vec![
-            format!("CompiledParallel, {threads} threads"),
-            format!("{:.0}", r.steps_per_sec()),
-            format!("{:.2}x", r.steps_per_sec() / serial.steps_per_sec()),
-        ]);
-    }
-    let hdr = format!("{cmp} ({host}-core host)");
-    println!(
-        "{}",
-        table(&[hdr.as_str(), "steps/sec", "vs Compiled"], &rows)
     );
 }

@@ -1347,14 +1347,13 @@ fn e17() -> String {
 // E18 — schedule compilation: compiled plans vs the dynamic schedulers.
 // ----------------------------------------------------------------------
 fn e18() -> String {
-    use liberty_bench::kernel::{build, run_workload, KernelRun, ACYCLIC_WORKLOADS, WORKLOADS};
+    use liberty_bench::kernel::{run_workload, KernelRun, ACYCLIC_WORKLOADS, WORKLOADS};
 
     const ALL_SCHEDS: &[SchedKind] = &[
         SchedKind::Sweep,
         SchedKind::Dynamic,
         SchedKind::Static,
         SchedKind::Compiled,
-        SchedKind::CompiledParallel,
     ];
 
     fn best_of(n: u32, w: &'static str, s: SchedKind, cycles: u64) -> KernelRun {
@@ -1391,37 +1390,9 @@ fn e18() -> String {
         }
     }
 
-    // CMP thread-count sweep for the parallel plan.
-    let cmp = WORKLOADS[1];
-    let serial = best_of(5, cmp, SchedKind::Compiled, cycles);
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut scaling = vec![vec![
-        "Compiled (serial)".to_string(),
-        format!("{:.0}", serial.steps_per_sec()),
-        "1.00x".to_string(),
-    ]];
-    for threads in [1usize, 2, 4, 8] {
-        let r = (0..5)
-            .map(|_| {
-                let mut sim = build(cmp, SchedKind::CompiledParallel);
-                sim.set_parallelism(threads);
-                sim.run(cycles / 10).unwrap();
-                let (_, secs) = timed(|| sim.run(cycles).unwrap());
-                secs
-            })
-            .fold(f64::MAX, f64::min);
-        let sps = cycles as f64 / r;
-        scaling.push(vec![
-            format!("CompiledParallel, {threads} threads"),
-            format!("{sps:.0}"),
-            format!("{:.2}x", sps / serial.steps_per_sec()),
-        ]);
-    }
-    let hdr = format!("{cmp} ({host}-core host)");
-
     format!(
         "## E18 — schedule compilation: SCC-condensed plans vs dynamic discovery\n\n\
-         The compiled schedulers (docs/KERNEL.md §6) hoist fixed-point discovery to\n\
+         The compiled scheduler (docs/KERNEL.md §6) hoists fixed-point discovery to\n\
          construction time: acyclic instances react exactly once per step from a\n\
          precomputed plan — no worklist, no wake-table probing, no queued-flag\n\
          bookkeeping — and cyclic SCCs run bounded local fixed-point islands. The\n\
@@ -1433,22 +1404,30 @@ fn e18() -> String {
          whose handlers do two port operations (chain, fanout) the scheduler's share\n\
          of each react shrinks and the gain settles around 1.4x; on the island-heavy\n\
          systems (mesh/CMP/core) the plan's straight prefix is small and the gain is\n\
-         a few percent. Under probes, faults, or a watchdog the compiled schedulers\n\
-         fall back to fully-bookkept execution and remain byte-identical to the\n\
-         dynamic ones (`crates/bench/tests/equivalence.rs`).\n\n\
-         The scaling table pins the 8-core CMP and sweeps the parallel plan's\n\
-         thread count. **Host caveat:** this report machine exposes {} core(s);\n\
-         with one core the pool adds pure coordination overhead and\n\
-         `CompiledParallel` cannot beat the serial plan — the table documents that\n\
-         overhead honestly; on a multi-core host the wide CMP levels split across\n\
-         lanes. CI guards the compiled paths' floors via `ci/kernel_baseline.tsv`.\n\n{}\n{}\n",
+         a few percent. Under probes, faults, or a watchdog the compiled scheduler\n\
+         falls back to fully-bookkept execution and remains byte-identical to the\n\
+         dynamic ones (`crates/bench/tests/equivalence.rs`). CI guards the compiled\n\
+         path's floors via `ci/kernel_baseline.tsv`.\n\n{}\n\
+         **Removed: the level-parallel plan.** A level-parallel compiled scheduler used to\n\
+         split each plan level's straight segment across a worker pool, buffer the\n\
+         writes per partition and merge them in plan order at level barriers. It never\n\
+         beat the serial plan. Kernel-bench smoke run (`--smoke --best-of 5`, 2-vCPU\n\
+         host) just before its removal:\n\n\
+         | workload | level-parallel vs `Compiled` |\n\
+         |---|---|\n\
+         | scatter 256 | 28.2k vs 58.9k steps/s (0.48x) |\n\
+         | fanout 16x2 | 24.4k vs 65.6k (0.37x) |\n\
+         | CMP 8-core | 16.9k vs 25.6k (0.66x) |\n\
+         | pcl pipeline 48 | 255k vs 512k (0.50x) |\n\
+         | chain, core stage-4, mesh | 0.95–0.97x |\n\n\
+         A level barrier is far coarser than a per-react cost of tens of nanoseconds,\n\
+         and the parallel path never specialized handlers. Whole replicas are the grain\n\
+         that divides work (E20).\n",
         ACYCLIC_WORKLOADS.join("`, `"),
-        host,
         table(
             &["workload", "scheduler", "steps/sec", "vs best dynamic"],
             &rows
-        ),
-        table(&[hdr.as_str(), "steps/sec", "vs Compiled"], &scaling)
+        )
     )
 }
 

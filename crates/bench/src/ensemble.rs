@@ -5,7 +5,6 @@
 
 use liberty_core::prelude::*;
 use liberty_ensemble::{ReplicaFactory, ReplicaSpec, SweepConfig, TopoCache};
-use std::sync::Arc;
 
 /// A PCL mix whose sources stay busy for the whole test horizon (so a
 /// cut at any step lands between real events) and whose queue depth is
@@ -37,19 +36,16 @@ pub struct LssFactory {
     registry: Registry,
     cache: TopoCache,
     sched: SchedKind,
-    parallelism: Option<usize>,
 }
 
 impl LssFactory {
-    /// Factory for `src` building replicas on `sched` (compiled-parallel
-    /// replicas get 3 worker threads each).
+    /// Factory for `src` building replicas on `sched`.
     pub fn new(src: &str, sched: SchedKind) -> LssFactory {
         LssFactory {
             src: src.to_owned(),
             registry: liberty_systems::full_registry(),
             cache: TopoCache::new(),
             sched,
-            parallelism: (sched == SchedKind::CompiledParallel).then_some(3),
         }
     }
 }
@@ -61,11 +57,7 @@ impl ReplicaFactory for LssFactory {
             liberty_lss::elaborate(&ast, &self.registry, "main", &spec.params(&Params::new()))?;
         let (topo, modules) = net.into_parts();
         let shared = self.cache.unify(&spec.point_label(), topo);
-        let mut sim = Simulator::from_parts(Arc::clone(&shared), modules, self.sched);
-        if let Some(t) = self.parallelism {
-            sim.set_parallelism(t);
-        }
-        Ok(sim)
+        Ok(Simulator::from_parts(shared, modules, self.sched))
     }
 }
 

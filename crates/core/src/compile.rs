@@ -23,23 +23,19 @@
 //!   to converge.
 //!
 //! Nodes are additionally grouped into **levels** (equal topological
-//! rank). No dependency edge connects two nodes of the same level, which
-//! is the independence argument the parallel scheduler builds on: every
-//! wire has one writing endpoint per side, and both endpoints of an edge
-//! sit either in the same island or in strictly different levels, so
-//! same-level nodes never write the same slot and never read a slot
-//! another same-level node writes. Within a level, straight nodes come
-//! first (in ascending instance id), then islands — a fixed order that
-//! defines the serial plan and the deterministic commit order of the
-//! parallel scheduler's write shards.
+//! rank). No dependency edge connects two nodes of the same level: both
+//! endpoints of an edge sit either in the same island or in strictly
+//! different levels. Within a level, straight nodes come first (in
+//! ascending instance id), then islands — a fixed order that defines the
+//! plan.
 //!
 //! **Correctness.** Module handlers are monotone and the per-step fixed
 //! point is unique (paper §2.1), so invoking an acyclic instance once —
 //! after all of its producers have fully settled — drives exactly the
 //! wires the dynamic fixed point would. Islands see final external inputs
 //! for the same reason, and their internal iteration is the ordinary
-//! worklist algorithm restricted to the SCC. The compiled schedulers
-//! therefore complete the same transfers, resolve the same defaults, and
+//! worklist algorithm restricted to the SCC. The compiled scheduler
+//! therefore completes the same transfers, resolve the same defaults, and
 //! commit the same instances as the dynamic ones; only handler
 //! re-invocation counts differ.
 

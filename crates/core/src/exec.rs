@@ -24,14 +24,17 @@
 //! The three dynamic schedulers (naive sweep, dynamic FIFO, static rank
 //! order — paper ref [22]) share one worklist/wake infrastructure: newly
 //! resolved wires are looked up in the topology's CSR reader tables and
-//! the readers are re-queued. The two compiled schedulers instead execute
-//! a pre-analyzed [`CompiledPlan`]: acyclic instances react exactly once,
+//! the readers are re-queued. The compiled scheduler instead executes a
+//! pre-analyzed [`CompiledPlan`]: acyclic instances react exactly once,
 //! in topological order, with no worklist at all; cyclic SCCs run bounded
-//! local fixed-point islands; `CompiledParallel` additionally fans
-//! independent same-level plan segments across a small owned thread pool
-//! with buffered writes merged in plan order. All five reach the same
-//! fixed point; they differ only in handler re-invocation counts and
-//! wall-clock.
+//! local fixed-point islands. All four reach the same fixed point; they
+//! differ only in handler re-invocation counts and wall-clock.
+//!
+//! Every run entry point ([`Simulator::run`], [`Simulator::run_until`],
+//! [`Simulator::run_governed`], [`Simulator::run_governed_until`]) drives
+//! the same step loop. At each step boundary it applies whatever is
+//! installed: governance stops, auto-checkpoints, and — when a
+//! [`RetryPolicy`] is installed — roll-back-and-retry recovery.
 
 use crate::compile::{CompiledPlan, PlanNode};
 use crate::error::{CheckpointError, DivergenceInfo, OscillatingWire, PanicInfo, SimError};
@@ -39,8 +42,7 @@ use crate::fault::{apply_fault, wire_idx, ActiveFaults, CompiledFaults, FailureP
 use crate::kernel::{self, Kernel, Lane, PlanSummary, SpecState};
 use crate::module::{Dir, Module, PortId};
 use crate::netlist::{EdgeId, InstanceId, Netlist};
-use crate::pool::WorkerPool;
-use crate::probe::{Probe, ResolvedBy, TracerProbe};
+use crate::probe::{Probe, ResolvedBy};
 use crate::sched::RankQueue;
 use crate::signal::{Res, Wire, WireWrite, WriteOutcome};
 use crate::snapshot::Snapshot;
@@ -55,8 +57,6 @@ use crate::value::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-pub use crate::probe::Tracer;
 
 /// Which reaction-phase scheduler to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,15 +74,6 @@ pub enum SchedKind {
     /// or wake-table probing; cyclic SCCs run bounded local fixed-point
     /// islands. The logical conclusion of ref [22]'s analysis.
     Compiled,
-    /// [`SchedKind::Compiled`], with independent same-level plan segments
-    /// executed across a small owned thread pool (see
-    /// [`Simulator::set_parallelism`]). Writes are buffered per partition
-    /// and merged in plan order at level barriers, so results — including
-    /// probe streams — are deterministic and identical to the serial
-    /// schedulers. Falls back to the serial compiled path when a probe,
-    /// fault plan or watchdog is installed, or when only one thread is
-    /// available.
-    CompiledParallel,
 }
 
 /// Invocation counters exposed for the scheduler-optimization experiment.
@@ -129,10 +120,10 @@ struct ResilState {
 
 /// Checkpoint / recovery configuration plus the in-memory rollback
 /// target. Boxed behind an `Option` exactly like [`ResilState`]: a
-/// simulator that never checkpoints carries a single `None`, `run`
-/// checks it once per step at the step *boundary*, and nothing changes
-/// inside the monomorphized reaction loops — the checkpoint-off hot
-/// path stays on the kernel baseline.
+/// simulator that never checkpoints carries a single `None`, the step
+/// loop checks it once per step at the step *boundary*, and nothing
+/// changes inside the monomorphized reaction loops — the checkpoint-off
+/// hot path stays on the kernel baseline.
 struct CheckpointState {
     /// Auto-checkpoint period in steps (0 = explicit snapshots only).
     every: u64,
@@ -141,13 +132,10 @@ struct CheckpointState {
     dir: Option<std::path::PathBuf>,
     /// The most recent checkpoint — the roll-back-and-retry target.
     last: Option<Arc<Snapshot>>,
-    /// Retry failures by restoring `last` and masking the offending
-    /// fault-plan entries, instead of staying quarantined / aborting.
-    rollback: bool,
-    /// Instances a rollback was already attempted for. A second failure
-    /// of the same instance keeps the quarantine: an organic failure
-    /// (not plan-injected) replays identically, so retrying again would
-    /// loop forever.
+    /// Instances a rollback was already attempted for, once per attempt.
+    /// Past the retry policy's per-cause cap the quarantine stands: an
+    /// organic failure (not plan-injected) replays identically, so
+    /// retrying again would loop forever.
     attempted_insts: Vec<u32>,
     /// Edges whose faults were already masked for divergence recovery.
     attempted_edges: Vec<u32>,
@@ -161,7 +149,6 @@ impl CheckpointState {
             every: 0,
             dir: None,
             last: None,
-            rollback: false,
             attempted_insts: Vec::new(),
             attempted_edges: Vec::new(),
             rollbacks: 0,
@@ -176,33 +163,6 @@ struct WorkState {
     fifo: VecDeque<u32>,
     queued: Vec<bool>,
     ranked: Option<RankQueue>,
-}
-
-/// A side effect recorded by one parallel partition during a level burst,
-/// applied serially — in plan order — at the level barrier.
-enum BufOp {
-    /// A wire drive (instance id for error attribution at merge).
-    Write(u32, EdgeId, WireWrite),
-    /// [`ReactCtx::count`].
-    Count(u32, &'static str, u64),
-    /// [`ReactCtx::sample`].
-    Sample(u32, &'static str, f64),
-    /// [`ReactCtx::histo`].
-    Histo(u32, &'static str, u64),
-}
-
-/// One partition's reusable effect buffer for a parallel level burst.
-#[derive(Default)]
-struct ReactBuffer {
-    ops: Vec<BufOp>,
-    reacts: u64,
-}
-
-impl ReactBuffer {
-    fn clear(&mut self) {
-        self.ops.clear();
-        self.reacts = 0;
-    }
 }
 
 /// The executable simulator (paper Fig. 1's "Simulator Executable").
@@ -228,12 +188,12 @@ pub struct Simulator {
     /// Fault-injection / watchdog / quarantine state; `None` (the
     /// default) keeps the hot path on the fault-free monomorphization.
     resil: Option<Box<ResilState>>,
-    /// Checkpoint / recovery state; `None` (the default) keeps `run` on
-    /// the plain fixed-cycle loop.
+    /// Checkpoint / recovery state; `None` (the default) makes the step
+    /// loop's checkpoint check a single `Option` test per step.
     ckpt: Option<Box<CheckpointState>>,
     /// Run-governance state (budgets, cancellation, retry policy);
-    /// `None` (the default) keeps `run` off the governed loop entirely —
-    /// one branch per run call, zero per-step cost.
+    /// `None` (the default) makes the step loop's governance check a
+    /// single `Option` test per step, and no run report is built.
     sup: Option<Box<SupervisorState>>,
     /// The compiled invocation plan (compiled schedulers only; shared
     /// via the topology's cache).
@@ -246,13 +206,6 @@ pub struct Simulator {
     /// Master switch for handler specialization (default on); see
     /// [`Simulator::set_specialization`].
     spec_enabled: bool,
-    /// Requested parallelism for [`SchedKind::CompiledParallel`],
-    /// including the caller's thread; `0` = auto-detect.
-    threads: usize,
-    /// Lazily spawned worker pool for the parallel scheduler.
-    pool: Option<WorkerPool>,
-    /// Per-partition write/stat buffers, reused across levels and steps.
-    par_bufs: Vec<ReactBuffer>,
 }
 
 impl Simulator {
@@ -280,9 +233,9 @@ impl Simulator {
         let n_edges = topo.edge_count();
         let work = match sched {
             SchedKind::Sweep => WorkState::default(),
-            // The compiled schedulers keep a FIFO too: islands iterate on
+            // The compiled scheduler keeps a FIFO too: islands iterate on
             // it, and the default phase's resume path reuses it.
-            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => WorkState {
+            SchedKind::Dynamic | SchedKind::Compiled => WorkState {
                 fifo: VecDeque::with_capacity(n),
                 queued: vec![false; n],
                 ranked: None,
@@ -293,16 +246,15 @@ impl Simulator {
             },
         };
         let plan = match sched {
-            SchedKind::Compiled | SchedKind::CompiledParallel => Some(topo.plan().clone()),
+            SchedKind::Compiled => Some(topo.plan().clone()),
             _ => None,
         };
-        // Handler specialization is a serial-compiled execution detail:
+        // Handler specialization is a compiled-plan execution detail:
         // classify once at construction, against the same plan the
         // scheduler runs.
-        let spec = match (&plan, sched) {
-            (Some(p), SchedKind::Compiled) => SpecState::build(&topo, p, &modules),
-            _ => None,
-        };
+        let spec = plan
+            .as_ref()
+            .and_then(|p| SpecState::build(&topo, p, &modules));
         Simulator {
             store: SignalStore::new(n_edges),
             modules,
@@ -322,9 +274,6 @@ impl Simulator {
             plan,
             spec,
             spec_enabled: true,
-            threads: 0,
-            pool: None,
-            par_bufs: Vec::new(),
             topo,
         }
     }
@@ -347,9 +296,6 @@ impl Simulator {
     /// and any probe/fault installation that suppressed the fast path.
     pub fn plan_summary(&self) -> Option<PlanSummary> {
         let plan = self.plan.as_ref()?;
-        if self.sched != SchedKind::Compiled {
-            return None;
-        }
         let classification = kernel::classify(&self.topo, plan, &self.modules);
         let enabled = self.spec_enabled && self.probe.is_none() && self.resil.is_none();
         Some(classification.summary(&self.topo, enabled))
@@ -359,7 +305,6 @@ impl Simulator {
     /// reaction/commit path.
     fn spec_active(&self) -> bool {
         self.spec_enabled
-            && self.sched == SchedKind::Compiled
             && self.probe.is_none()
             && self.resil.is_none()
             && self.spec.as_ref().is_some_and(|s| s.live)
@@ -430,8 +375,8 @@ impl Simulator {
             .get_or_insert_with(|| Box::new(CheckpointState::new()))
     }
 
-    /// Take a checkpoint automatically every `every` steps during
-    /// [`Simulator::run`] (0 disables). Checkpoints are kept in memory
+    /// Take a checkpoint automatically every `every` steps during any
+    /// run entry point (0 disables). Checkpoints are kept in memory
     /// as the rollback target; pair with
     /// [`Simulator::set_checkpoint_dir`] to also persist each one.
     /// Checkpointing happens strictly at step boundaries, so enabling it
@@ -444,18 +389,6 @@ impl Simulator {
     /// (written atomically: temp file + rename).
     pub fn set_checkpoint_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
         self.ckpt_mut().dir = Some(dir.into());
-    }
-
-    /// Enable roll-back-and-retry recovery: when a step quarantines an
-    /// instance (under [`FailurePolicy::Quarantine`]) or dies with
-    /// [`SimError::Divergence`], `run` restores the last checkpoint,
-    /// masks the offending instance/edge in the installed fault plan and
-    /// resumes — emitting `rollback` and `restore` probe events. Each
-    /// instance/edge is retried at most once: a failure that is not
-    /// explained by the fault plan replays identically, so the second
-    /// occurrence falls through to the plain quarantine/abort behaviour.
-    pub fn set_rollback(&mut self, enabled: bool) {
-        self.ckpt_mut().rollback = enabled;
     }
 
     /// The most recent checkpoint taken by the auto-checkpoint machinery
@@ -474,40 +407,44 @@ impl Simulator {
             .get_or_insert_with(|| Box::new(SupervisorState::new()))
     }
 
-    /// Retry attempts allowed per individual cause (instance/edge): 1 —
-    /// the original retry-once behaviour — unless a retry policy raises
-    /// it.
+    /// The installed retry policy: `Some` exactly when rollback is armed.
+    fn retry_policy(&self) -> Option<&RetryPolicy> {
+        self.sup.as_ref().and_then(|s| s.retry.as_ref())
+    }
+
+    /// Retry attempts allowed per individual cause (instance/edge).
     fn per_cause_cap(&self) -> usize {
-        self.sup
-            .as_ref()
-            .map_or(1, |s| s.retry.per_cause.max(1) as usize)
+        self.retry_policy()
+            .map_or(1, |r| r.per_cause.max(1) as usize)
     }
 
     /// Install a cooperative [`RunBudget`]. Budgets are enforced at step
-    /// boundaries by the governed run loop ([`Simulator::run`] routes
-    /// through it once any governance is installed); an unset simulator
-    /// pays a single `Option` check per *run call*, nothing per step.
+    /// boundaries by the step loop; an ungoverned simulator pays a single
+    /// `Option` check per step for governance.
     pub fn set_budget(&mut self, budget: RunBudget) {
         self.sup_mut().budget = budget;
     }
 
     /// Install a [`CancelToken`]. When tripped (from another thread or a
     /// signal handler), the governed loop exits at the next step
-    /// boundary: in-flight level-parallel partitions drain at their
-    /// completion barrier, a final checkpoint is taken, and the run
-    /// returns [`RunOutcome::Cancelled`].
+    /// boundary: a final checkpoint is taken and the run returns
+    /// [`RunOutcome::Cancelled`].
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.sup_mut().cancel = Some(token);
     }
 
-    /// Install a [`RetryPolicy`], generalizing the rollback-retry-once
-    /// behaviour into a bounded escalation ladder: retry from checkpoint
-    /// (with backoff) → mask the offending fault/edge → leave the
-    /// instance quarantined → degrade to partial results. Also arms
-    /// rollback — retries restore the last checkpoint.
+    /// Install a [`RetryPolicy`] — the one switch that arms
+    /// roll-back-and-retry recovery. When a step quarantines an instance
+    /// (under [`FailurePolicy::Quarantine`]) or dies with
+    /// [`SimError::Divergence`], the run restores the last checkpoint,
+    /// masks the offending instance/edge in the installed fault plan and
+    /// resumes — emitting `rollback` and `restore` probe events. The
+    /// policy bounds the escalation ladder: retry from checkpoint (with
+    /// backoff) → mask the offending fault/edge → leave the instance
+    /// quarantined → degrade to partial results. [`RetryPolicy::once`]
+    /// retries each instance/edge exactly once.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.sup_mut().retry = policy;
-        self.ckpt_mut().rollback = true;
+        self.sup_mut().retry = Some(policy);
     }
 
     /// Install a memory gauge (typically wired to a counting global
@@ -523,7 +460,7 @@ impl Simulator {
     }
 
     /// True when any governance (budget, token, policy, gauge) is
-    /// installed and `run` will route through the governed loop.
+    /// installed and `run` will build a [`RunReport`] for each call.
     pub fn is_governed(&self) -> bool {
         self.sup.is_some()
     }
@@ -544,39 +481,61 @@ impl Simulator {
     pub fn run_governed_until(
         &mut self,
         max_cycles: u64,
-        mut pred: impl FnMut(&Stats) -> bool,
+        pred: impl FnMut(&Stats) -> bool,
     ) -> RunReport {
         let started = std::time::Instant::now();
         let start_now = self.now;
-        // Counted locally rather than via `metrics.steps`: a rollback
-        // restores the metrics from the snapshot, but replayed steps are
-        // real work and must count against the step budget.
-        let mut executed: u64 = 0;
-        let target = self.now.saturating_add(max_cycles);
         {
             let s = self.sup_mut();
             s.retries.clear();
             s.total_retries = 0;
             s.mem_peak = 0;
         }
-        let mut outcome = RunOutcome::Completed;
-        let mut error: Option<SimError> = None;
+        let (mut outcome, executed, error) = self.step_loop(max_cycles, pred, started);
+        if matches!(outcome, RunOutcome::Completed) && !self.quarantined_instances().is_empty() {
+            // Reached the target, but only by isolating instances: the
+            // results are partial (ladder step 4).
+            outcome = RunOutcome::Degraded;
+        }
+        // A budget stop on a checkpointing simulator preserves progress
+        // too (cancellation already checkpointed inside governed_stop).
+        if matches!(outcome, RunOutcome::BudgetExhausted(_)) && self.ckpt.is_some() {
+            let _ = self.checkpoint_now();
+        }
+        let report = self.build_report(outcome, max_cycles, start_now, executed, started, error);
+        self.sup_mut().last_report = Some(report.clone());
+        report
+    }
+
+    /// The one step loop behind every run entry point. At each step
+    /// boundary it checks governance (a single `Option` test when none
+    /// is installed), runs the step, retries from the last checkpoint
+    /// when a retry policy is installed and the step quarantined or
+    /// diverged, auto-checkpoints, and checks `pred`. Returns the exit
+    /// outcome (never `Degraded`: that is a report-level verdict), the
+    /// steps executed including replays, and the error of a failed run.
+    fn step_loop(
+        &mut self,
+        max_cycles: u64,
+        mut pred: impl FnMut(&Stats) -> bool,
+        started: std::time::Instant,
+    ) -> (RunOutcome, u64, Option<SimError>) {
+        // Counted locally rather than via `metrics.steps`: a rollback
+        // restores the metrics from the snapshot, but replayed steps are
+        // real work and must count against the step budget.
+        let mut executed: u64 = 0;
+        let target = self.now.saturating_add(max_cycles);
         // A rollback needs a target even before the first periodic
         // checkpoint: seed one at the starting boundary.
-        if self
-            .ckpt
-            .as_ref()
-            .is_some_and(|c| c.rollback && c.last.is_none())
-        {
+        if self.retry_policy().is_some() && self.ckpt.as_ref().is_none_or(|c| c.last.is_none()) {
             match self.snapshot() {
                 Ok(s) => self.ckpt_mut().last = Some(Arc::new(s)),
-                Err(e) => {
-                    error = Some(e);
-                    outcome = RunOutcome::Failed;
-                }
+                Err(e) => return (RunOutcome::Failed, executed, Some(e)),
             }
         }
-        while error.is_none() && self.now < target {
+        let mut outcome = RunOutcome::Completed;
+        let mut error: Option<SimError> = None;
+        while self.now < target {
             if let Some(stop) = self.governed_stop(started, executed) {
                 outcome = stop;
                 break;
@@ -628,21 +587,8 @@ impl Simulator {
         }
         if error.is_some() {
             outcome = RunOutcome::Failed;
-        } else if matches!(outcome, RunOutcome::Completed)
-            && !self.quarantined_instances().is_empty()
-        {
-            // Reached the target, but only by isolating instances: the
-            // results are partial (ladder step 4).
-            outcome = RunOutcome::Degraded;
         }
-        // A budget stop on a checkpointing simulator preserves progress
-        // too (cancellation already checkpointed inside governed_stop).
-        if matches!(outcome, RunOutcome::BudgetExhausted(_)) && self.ckpt.is_some() {
-            let _ = self.checkpoint_now();
-        }
-        let report = self.build_report(outcome, max_cycles, start_now, executed, started, error);
-        self.sup_mut().last_report = Some(report.clone());
-        report
+        (outcome, executed, error)
     }
 
     /// The step-boundary governance check: cancellation first (it also
@@ -687,11 +633,14 @@ impl Simulator {
         None
     }
 
-    /// True while the retry policy's total budget has attempts left.
+    /// True while a retry policy is installed and its total budget has
+    /// attempts left.
     fn retry_budget_left(&self) -> bool {
-        self.sup
-            .as_ref()
-            .is_none_or(|s| s.total_retries < s.retry.max_retries)
+        self.sup.as_ref().is_some_and(|s| {
+            s.retry
+                .as_ref()
+                .is_some_and(|r| s.total_retries < r.max_retries)
+        })
     }
 
     /// Account a performed retry and apply the policy's backoff (a pure
@@ -701,7 +650,9 @@ impl Simulator {
         let s = self.sup_mut();
         s.total_retries += 1;
         *s.retries.entry(cause.label()).or_insert(0) += 1;
-        let delay = s.retry.backoff_for(s.total_retries);
+        let delay = s.retry.as_ref().map_or(std::time::Duration::ZERO, |r| {
+            r.backoff_for(s.total_retries)
+        });
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
@@ -903,23 +854,20 @@ impl Simulator {
         self.checkpoint_now()
     }
 
-    /// Recovery for a step that quarantined at least one instance: if
-    /// rollback is armed and any of the new quarantines has not been
-    /// retried yet, mask those instances' fault-plan entries, rewind to
-    /// the last checkpoint and report `true` (the caller re-runs the
-    /// steps). Otherwise leave the quarantine standing.
+    /// Recovery for a step that quarantined at least one instance (called
+    /// only while a retry policy is installed): if any of the new
+    /// quarantines is still under the per-cause cap, mask those
+    /// instances' fault-plan entries, rewind to the last checkpoint and
+    /// report `true` (the caller re-runs the steps). Otherwise leave the
+    /// quarantine standing.
     fn try_rollback_quarantine(&mut self) -> Result<bool, SimError> {
         let Some(c) = self.ckpt.as_ref() else {
             return Ok(false);
         };
-        if !c.rollback {
-            return Ok(false);
-        }
         let Some(snap) = c.last.clone() else {
             return Ok(false);
         };
-        // Attempts per individual instance: 1 unless a retry policy
-        // raises it (the supervisor's per-cause cap).
+        // Attempts per individual instance: the policy's per-cause cap.
         let cap = self.per_cause_cap();
         let fresh: Vec<u32> = self
             .quarantined_instances()
@@ -954,11 +902,11 @@ impl Simulator {
         Ok(true)
     }
 
-    /// Recovery for a step that died with [`SimError::Divergence`]: if
-    /// rollback is armed and masking the oscillating edges actually
-    /// removed fault-plan entries (an organic oscillation replays
-    /// identically, so retrying it would loop), rewind and report
-    /// `true`.
+    /// Recovery for a step that died with [`SimError::Divergence`]
+    /// (called only while a retry policy is installed): if masking the
+    /// oscillating edges actually removed fault-plan entries (an organic
+    /// oscillation replays identically, so retrying it would loop),
+    /// rewind and report `true`.
     fn try_rollback_divergence(&mut self, e: &SimError) -> Result<bool, SimError> {
         let Some(info) = e.as_divergence() else {
             return Ok(false);
@@ -966,9 +914,6 @@ impl Simulator {
         let Some(c) = self.ckpt.as_ref() else {
             return Ok(false);
         };
-        if !c.rollback {
-            return Ok(false);
-        }
         let Some(snap) = c.last.clone() else {
             return Ok(false);
         };
@@ -1013,39 +958,6 @@ impl Simulator {
         Ok(true)
     }
 
-    /// The recoverable run loop: auto-checkpoints at period boundaries
-    /// and rewinds on quarantine/divergence when rollback is armed.
-    fn run_recoverable(&mut self, cycles: u64) -> Result<(), SimError> {
-        let target = self.now.saturating_add(cycles);
-        // A rollback needs a target even before the first periodic
-        // checkpoint: seed one at the starting boundary.
-        if self
-            .ckpt
-            .as_ref()
-            .is_some_and(|c| c.rollback && c.last.is_none())
-        {
-            let snap = Arc::new(self.snapshot()?);
-            self.ckpt_mut().last = Some(snap);
-        }
-        while self.now < target {
-            let q_before = self.metrics.quarantines;
-            match self.step() {
-                Ok(()) => {
-                    if self.metrics.quarantines > q_before && self.try_rollback_quarantine()? {
-                        continue;
-                    }
-                    self.maybe_auto_checkpoint()?;
-                }
-                Err(e) => {
-                    if !self.try_rollback_divergence(&e)? {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// True when `inst` has been quarantined by
     /// [`FailurePolicy::Quarantine`].
     pub fn is_quarantined(&self, inst: InstanceId) -> bool {
@@ -1071,12 +983,6 @@ impl Simulator {
     /// The immutable structure this simulator runs over.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
-    }
-
-    /// Attach a transfer tracer (compat path: the tracer is lifted into a
-    /// [`Probe`] observing only `transfer` events).
-    pub fn set_tracer(&mut self, t: Box<dyn Tracer>) {
-        self.set_probe(Box::new(TracerProbe::new(t)));
     }
 
     /// Attach a probe observing the full kernel event stream. The probe's
@@ -1116,28 +1022,7 @@ impl Simulator {
         self.sched
     }
 
-    /// Set the lane count for [`SchedKind::CompiledParallel`]: total
-    /// parallelism *including* the calling thread. `0` (the default)
-    /// auto-detects from `std::thread::available_parallelism`. A no-op
-    /// for the serial schedulers; any existing worker pool is dropped and
-    /// respawned lazily at the next step.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.threads = threads;
-        self.pool = None;
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            self.threads
-        } else {
-            // Cached: `available_parallelism` re-reads cgroup limits on
-            // every call, far too slow for a per-step check.
-            static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-            *AUTO.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        }
-    }
-
-    /// The compiled invocation plan, when running a compiled scheduler.
+    /// The compiled invocation plan, when running the compiled scheduler.
     pub fn compiled_plan(&self) -> Option<&Arc<CompiledPlan>> {
         self.plan.as_ref()
     }
@@ -1176,54 +1061,37 @@ impl Simulator {
         &self.transfer_counts
     }
 
-    /// Run `cycles` time-steps. When governance (budget / cancel token /
-    /// retry policy) is installed, the loop routes through
-    /// [`Simulator::run_governed`] — budget and cancellation stops then
+    /// Run `cycles` time-steps. A governed simulator routes through
+    /// [`Simulator::run_governed`]: budget and cancellation stops then
     /// return `Ok` with the details in [`Simulator::last_run_report`];
-    /// only [`RunOutcome::Failed`] surfaces as `Err`. When checkpointing
-    /// or rollback is configured, the loop auto-checkpoints at period
-    /// boundaries and rewinds on recoverable quarantine/divergence;
-    /// otherwise it is the plain step loop with no per-step overhead.
+    /// only [`RunOutcome::Failed`] surfaces as `Err`. Governed or not,
+    /// the steps run in the one step loop, which auto-checkpoints at
+    /// period boundaries and, when a retry policy is installed, rewinds
+    /// on recoverable quarantine/divergence.
     pub fn run(&mut self, cycles: u64) -> Result<(), SimError> {
-        if self.sup.is_some() {
-            let report = self.run_governed(cycles);
-            return match report.error {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-        if self.ckpt.is_some() {
-            return self.run_recoverable(cycles);
-        }
-        for _ in 0..cycles {
-            self.step()?;
-        }
-        Ok(())
+        self.run_until(cycles, |_| false).map(drop)
     }
 
     /// Run until `pred` returns true (checked after each step) or until
-    /// `max_cycles` elapse. Returns the number of steps executed. Like
-    /// [`Simulator::run`], routes through the governed loop when
-    /// governance is installed.
+    /// `max_cycles` elapse. Returns the number of steps of forward
+    /// progress. Like [`Simulator::run`], routes through the governed
+    /// entry point when governance is installed.
     pub fn run_until(
         &mut self,
         max_cycles: u64,
-        mut pred: impl FnMut(&Stats) -> bool,
+        pred: impl FnMut(&Stats) -> bool,
     ) -> Result<u64, SimError> {
-        if self.sup.is_some() {
-            let report = self.run_governed_until(max_cycles, pred);
-            return match report.error {
-                Some(e) => Err(e),
-                None => Ok(report.steps_completed),
-            };
+        let start_now = self.now;
+        let error = if self.sup.is_some() {
+            self.run_governed_until(max_cycles, pred).error
+        } else {
+            let (_, _, error) = self.step_loop(max_cycles, pred, std::time::Instant::now());
+            error
+        };
+        match error {
+            Some(e) => Err(e),
+            None => Ok(self.now.saturating_sub(start_now)),
         }
-        for c in 0..max_cycles {
-            self.step()?;
-            if pred(&self.stats) {
-                return Ok(c + 1);
-            }
-        }
-        Ok(max_cycles)
     }
 
     /// Execute one complete time-step.
@@ -1311,13 +1179,10 @@ impl Simulator {
     }
 
     /// Run the reaction phase from a full seed (every instance queued).
-    /// The compiled schedulers take the plan path instead: no seeding, no
+    /// The compiled scheduler takes the plan path instead: no seeding, no
     /// worklist for the acyclic part of the netlist.
     fn reaction_phase(&mut self) -> Result<(), SimError> {
-        if matches!(
-            self.sched,
-            SchedKind::Compiled | SchedKind::CompiledParallel
-        ) {
+        if self.sched == SchedKind::Compiled {
             return self.reaction_compiled();
         }
         let n = self.topo.instance_count();
@@ -1336,7 +1201,7 @@ impl Simulator {
                     q.push(i);
                 }
             }
-            SchedKind::Compiled | SchedKind::CompiledParallel => unreachable!("dispatched above"),
+            SchedKind::Compiled => unreachable!("dispatched above"),
         }
         let r = self.drain(&mut work);
         self.work = work;
@@ -1348,7 +1213,7 @@ impl Simulator {
         let mut work = std::mem::take(&mut self.work);
         match self.sched {
             SchedKind::Sweep => {}
-            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => {
+            SchedKind::Dynamic | SchedKind::Compiled => {
                 debug_assert!(work.fifo.is_empty());
                 for &s in seeds {
                     if !work.queued[s as usize] {
@@ -1433,7 +1298,7 @@ impl Simulator {
                     return Ok(());
                 }
             },
-            SchedKind::Dynamic | SchedKind::Compiled | SchedKind::CompiledParallel => {
+            SchedKind::Dynamic | SchedKind::Compiled => {
                 while let Some(i) = work.fifo.pop_front() {
                     work.queued[i as usize] = false;
                     newly.clear();
@@ -1473,29 +1338,14 @@ impl Simulator {
         result
     }
 
-    /// Reaction phase for the compiled schedulers: execute the plan
+    /// Reaction phase for the compiled scheduler: execute the plan
     /// instead of seeding and draining a worklist.
     fn reaction_compiled(&mut self) -> Result<(), SimError> {
-        // The parallel burst excludes probes and resilience: a probe
-        // observes resolve order (inherently serial), and fault/watchdog
-        // machinery mutates shared state per react. Both fall back to the
-        // serial compiled path, which handles them monomorphized.
-        if self.sched == SchedKind::CompiledParallel
-            && self.probe.is_none()
-            && self.resil.is_none()
-            && self.effective_threads() > 1
-        {
-            return self.reaction_compiled_parallel();
-        }
-        // Serial compiled path with specialization: lazily lower module
-        // state into kernels on the first unobserved step, then run the
-        // two-tier plan. A materialization failure permanently falls back
-        // to the dynamic path — never a wrong answer.
-        if self.sched == SchedKind::Compiled
-            && self.spec_enabled
-            && self.probe.is_none()
-            && self.resil.is_none()
-            && self.spec.is_some()
+        // Specialization: lazily lower module state into kernels on the
+        // first unobserved step, then run the two-tier plan. A
+        // materialization failure permanently falls back to the dynamic
+        // path — never a wrong answer.
+        if self.spec_enabled && self.probe.is_none() && self.resil.is_none() && self.spec.is_some()
         {
             if !self.spec.as_deref().is_some_and(|s| s.live) {
                 let mut spec = self.spec.take().expect("checked above");
@@ -1717,119 +1567,6 @@ impl Simulator {
                             )?;
                         }
                     }
-                }
-            }
-            Ok(())
-        })();
-        self.wake_buf = newly;
-        result
-    }
-
-    /// Parallel compiled reaction: independent same-level plan segments
-    /// burst across the worker pool against a read-only store; each
-    /// partition's writes are buffered and merged serially in plan order
-    /// at the level barrier, so the store sees the exact mutation
-    /// sequence of the serial compiled scheduler.
-    fn reaction_compiled_parallel(&mut self) -> Result<(), SimError> {
-        let plan = self
-            .plan
-            .clone()
-            .expect("compiled scheduler without a plan");
-        let threads = self.effective_threads();
-        if self.pool.as_ref().is_none_or(|p| p.capacity() != threads) {
-            self.pool = Some(WorkerPool::new(threads - 1));
-        }
-        let mut pool = self.pool.take().expect("pool ensured above");
-        if self.par_bufs.len() < threads {
-            self.par_bufs.resize_with(threads, ReactBuffer::default);
-        }
-        let mut bufs = std::mem::take(&mut self.par_bufs);
-        let mut work = std::mem::take(&mut self.work);
-        let r = self.par_levels(&plan, &mut pool, &mut work, &mut bufs[..threads]);
-        if r.is_err() {
-            work.fifo.clear();
-            work.queued.fill(false);
-        }
-        self.work = work;
-        self.par_bufs = bufs;
-        self.pool = Some(pool);
-        r
-    }
-
-    /// Walk the plan level by level: wide straight segments burst across
-    /// the pool, narrow ones and islands run inline (islands iterate and
-    /// are executed serially at their plan position — they are rare and
-    /// small in well-formed specs).
-    fn par_levels(
-        &mut self,
-        plan: &CompiledPlan,
-        pool: &mut WorkerPool,
-        work: &mut WorkState,
-        bufs: &mut [ReactBuffer],
-    ) -> Result<(), SimError> {
-        let threads = bufs.len().min(pool.capacity());
-        let Simulator {
-            topo,
-            modules,
-            store,
-            stats,
-            now,
-            metrics,
-            wake_buf,
-            ..
-        } = self;
-        let topo: &Topology = topo;
-        let mut no_probe: Option<&mut (dyn Probe + 'static)> = None;
-        let mut no_resil: Option<Box<ResilState>> = None;
-        let mut newly = std::mem::take(wake_buf);
-        let result = (|| {
-            for level in plan.levels() {
-                let snodes = &plan.nodes()[level.start as usize..level.straight_end as usize];
-                let n_chunks = (snodes.len() / MIN_STRAIGHTS_PER_CHUNK).clamp(1, threads);
-                if n_chunks >= 2 {
-                    run_level_parallel(
-                        topo,
-                        modules,
-                        store,
-                        stats,
-                        metrics,
-                        *now,
-                        snodes,
-                        &mut bufs[..n_chunks],
-                        pool,
-                    )?;
-                } else {
-                    metrics.reacts += snodes.len() as u64;
-                    for node in snodes {
-                        react_straight(
-                            topo,
-                            modules,
-                            store,
-                            stats,
-                            *now,
-                            straight_id(node) as usize,
-                        )?;
-                    }
-                }
-                for node in &plan.nodes()[level.straight_end as usize..level.end as usize] {
-                    let PlanNode::Island { island, members } = node else {
-                        unreachable!("island segment holds only islands");
-                    };
-                    drain_island::<false, false>(
-                        topo,
-                        modules,
-                        store,
-                        stats,
-                        metrics,
-                        *now,
-                        plan,
-                        *island,
-                        members,
-                        work,
-                        &mut newly,
-                        &mut no_probe,
-                        &mut no_resil,
-                    )?;
                 }
             }
             Ok(())
@@ -2225,19 +1962,6 @@ fn divergence_error(topo: &Topology, rs: &ResilState, now: u64) -> SimError {
     }))
 }
 
-/// Minimum straight nodes per parallel chunk: below this, dispatch and
-/// merge overhead beats the win, so narrow levels run inline.
-const MIN_STRAIGHTS_PER_CHUNK: usize = 4;
-
-/// Instance id of a straight plan node (the straight segment of a level
-/// holds nothing else).
-fn straight_id(n: &PlanNode) -> u32 {
-    match n {
-        PlanNode::Straight(i) => *i,
-        PlanNode::Island { .. } => unreachable!("straight segment holds only straights"),
-    }
-}
-
 /// Run one cyclic SCC ("island") to its local fixed point with a FIFO
 /// worklist. Wakes are filtered to island members: a reader outside the
 /// island sits strictly later in the plan and runs regardless. The
@@ -2335,157 +2059,6 @@ fn drain_island_spec(
     Ok(())
 }
 
-/// Execute one level's straight segment across the pool. The plan's
-/// invariants make this sound and deterministic:
-///
-/// * straight segments are sorted by instance id, so the module slice
-///   partitions into disjoint `&mut` chunks;
-/// * no dependency edge joins two same-level nodes — each connection's
-///   endpoints are either in one island or on strictly different levels —
-///   so reads against the shared `&SignalStore` only observe wires
-///   settled by earlier levels, which are final;
-/// * writes are buffered per chunk and applied at the barrier in plan
-///   (chunk) order, reproducing the serial scheduler's exact store
-///   mutation sequence.
-///
-/// One observable difference from the serial path: a write the store
-/// rejects (a contract violation) surfaces here at the barrier rather
-/// than inside the module's `react`, so a module that would have
-/// swallowed the error cannot — the step fails either way.
-#[allow(clippy::too_many_arguments)]
-fn run_level_parallel(
-    topo: &Topology,
-    modules: &mut [Box<dyn Module>],
-    store: &mut SignalStore,
-    stats: &mut Stats,
-    metrics: &mut EngineMetrics,
-    now: u64,
-    snodes: &[PlanNode],
-    bufs: &mut [ReactBuffer],
-    pool: &mut WorkerPool,
-) -> Result<(), SimError> {
-    struct Chunk<'a> {
-        nodes: &'a [PlanNode],
-        mods: &'a mut [Box<dyn Module>],
-        base: usize,
-        buf: &'a mut ReactBuffer,
-        err: Option<SimError>,
-    }
-    let n_chunks = bufs.len();
-    let per = snodes.len().div_ceil(n_chunks);
-    let mut chunks: Vec<Chunk<'_>> = Vec::with_capacity(n_chunks);
-    let mut rem = modules;
-    let mut consumed = 0usize;
-    for (c, buf) in bufs.iter_mut().enumerate() {
-        let lo = c * per;
-        let hi = (lo + per).min(snodes.len());
-        if lo >= hi {
-            break;
-        }
-        let nodes = &snodes[lo..hi];
-        let first = straight_id(&nodes[0]) as usize;
-        let last = straight_id(&nodes[nodes.len() - 1]) as usize;
-        let tmp = std::mem::take(&mut rem);
-        let (_, tail) = tmp.split_at_mut(first - consumed);
-        let (mine, tail) = tail.split_at_mut(last - first + 1);
-        rem = tail;
-        consumed = last + 1;
-        buf.clear();
-        chunks.push(Chunk {
-            nodes,
-            mods: mine,
-            base: first,
-            buf,
-            err: None,
-        });
-    }
-    // Burst: every chunk reacts its instances against the read-only
-    // store, recording effects into its own buffer.
-    {
-        let store_ro: &SignalStore = store;
-        let mut tasks: Vec<_> = chunks
-            .iter_mut()
-            .map(|ch| {
-                move || {
-                    for node in ch.nodes {
-                        let i = straight_id(node) as usize;
-                        ch.buf.reacts += 1;
-                        let inst = InstanceId(i as u32);
-                        let mut ctx = ReactCtx {
-                            inst,
-                            info: topo.instance(inst),
-                            pmeta: topo.hot_ports(inst),
-                            eflat: topo.edges_flat(),
-                            sink: CtxSink::Buffered {
-                                store: store_ro,
-                                buf: &mut *ch.buf,
-                            },
-                            now,
-                            faults: None,
-                            osc: None,
-                        };
-                        if let Err(e) = ch.mods[i - ch.base].react(&mut ctx) {
-                            ch.err = Some(e);
-                            return;
-                        }
-                    }
-                }
-            })
-            .collect();
-        let mut task_refs: Vec<&mut (dyn FnMut() + Send)> = tasks
-            .iter_mut()
-            .map(|t| t as &mut (dyn FnMut() + Send))
-            .collect();
-        let panics = pool.run(&mut task_refs);
-        if let Some(p) = panics.into_iter().flatten().next() {
-            // A raw module panic: drop the partial buffers, then re-raise.
-            // (The resilient catch-and-quarantine policies never reach
-            // this path — installing one forces the serial fallback.)
-            drop(tasks);
-            for ch in &mut chunks {
-                ch.buf.clear();
-            }
-            std::panic::resume_unwind(p);
-        }
-    }
-    // Barrier merge, chunk by chunk in plan order.
-    let mut first_err: Option<SimError> = None;
-    for ch in &mut chunks {
-        metrics.reacts += ch.buf.reacts;
-        ch.buf.reacts = 0;
-        for op in ch.buf.ops.drain(..) {
-            if first_err.is_some() {
-                continue;
-            }
-            match op {
-                BufOp::Write(inst, e, w) => {
-                    if let Err(err) = store.write(e, w) {
-                        let info = topo.instance(InstanceId(inst));
-                        first_err = Some(SimError::contract(format!(
-                            "{} ({}): {err}",
-                            info.name, info.spec.template
-                        )));
-                    }
-                }
-                BufOp::Count(inst, name, by) => stats.count(InstanceId(inst), name, by),
-                BufOp::Sample(inst, name, v) => stats.sample(InstanceId(inst), name, v),
-                BufOp::Histo(inst, name, v) => stats.histo(InstanceId(inst), name, v),
-            }
-        }
-        if first_err.is_none() {
-            first_err = ch.err.take();
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// Invoke one instance's `react` handler with a context over the shared
-/// store (free function so callers can borrow disjoint simulator fields).
-/// Monomorphized on probe presence and resilience: with
-/// `PROBED = RESIL = false` neither the probe branches nor the fault /
 /// React one *straight* plan node on the probe-off, fault-off path: no
 /// wake bookkeeping (its readers are all later plan nodes), no newly
 /// list, no catch_unwind — the minimal cost of invoking a handler.
@@ -2517,6 +2090,10 @@ fn react_straight(
     modules[i].react(&mut ctx)
 }
 
+/// Invoke one instance's `react` handler with a context over the shared
+/// store (free function so callers can borrow disjoint simulator fields).
+/// Monomorphized on probe presence and resilience: with
+/// `PROBED = RESIL = false` neither the probe branches nor the fault /
 /// watchdog / quarantine machinery exist in the generated code.
 #[allow(clippy::too_many_arguments)]
 fn react_one<const PROBED: bool, const RESIL: bool>(
@@ -2664,9 +2241,8 @@ fn emit_resolved(
     }
 }
 
-/// Where a [`ReactCtx`]'s effects land: directly in the store (serial
-/// paths) or in a per-partition buffer merged at a level barrier
-/// (parallel bursts, where the store is shared read-only).
+/// Where a [`ReactCtx`]'s effects land: the store, with or without wake
+/// bookkeeping.
 enum CtxSink<'a> {
     /// Immediate writes with wake bookkeeping.
     Direct {
@@ -2681,12 +2257,6 @@ enum CtxSink<'a> {
     Fast {
         store: &'a mut SignalStore,
         stats: &'a mut Stats,
-    },
-    /// Deferred effects; no wake bookkeeping (every reader of a burst
-    /// participant's wires sits on a strictly later level).
-    Buffered {
-        store: &'a SignalStore,
-        buf: &'a mut ReactBuffer,
     },
 }
 
@@ -2742,15 +2312,11 @@ impl<'a> ReactCtx<'a> {
         }
     }
 
-    /// The store to read resolved signals from (shared by both sinks; the
-    /// buffered sink's deferred writes are invisible here, which is fine —
-    /// a burst participant's readers run on later levels).
+    /// The store to read resolved signals from (shared by both sinks).
     #[inline]
     fn st(&self) -> &SignalStore {
         match &self.sink {
-            CtxSink::Direct { store, .. } => store,
-            CtxSink::Fast { store, .. } => store,
-            CtxSink::Buffered { store, .. } => store,
+            CtxSink::Direct { store, .. } | CtxSink::Fast { store, .. } => store,
         }
     }
 
@@ -2837,13 +2403,6 @@ impl<'a> ReactCtx<'a> {
                     self.info.name, self.info.spec.template
                 ))),
             },
-            CtxSink::Buffered { buf, .. } => {
-                // Deferred: applied — and contract-checked — at the level
-                // barrier, in plan order. No wake bookkeeping is needed:
-                // every reader of this wire runs on a later level.
-                buf.ops.push(BufOp::Write(self.inst.0, e, w));
-                Ok(())
-            }
             CtxSink::Direct { store, newly, .. } => {
                 let result = if tolerant {
                     store.write_tolerant(e, w)
@@ -2907,13 +2466,6 @@ impl<'a> ReactCtx<'a> {
                         newly.push((e, Wire::Enable));
                     }
                 })
-            }
-            CtxSink::Buffered { buf, .. } => {
-                buf.ops
-                    .push(BufOp::Write(self.inst.0, e, WireWrite::Data(data)));
-                buf.ops
-                    .push(BufOp::Write(self.inst.0, e, WireWrite::Enable(enable)));
-                Ok(())
             }
         };
         result.map_err(|err| {
@@ -2997,11 +2549,6 @@ impl<'a> ReactCtx<'a> {
                 }
                 d
             }),
-            CtxSink::Buffered { store, buf } => {
-                buf.ops
-                    .push(BufOp::Write(self.inst.0, e, WireWrite::Ack(r)));
-                Ok(store.data(e))
-            }
         };
         result.map_err(|err| {
             SimError::contract(format!(
@@ -3014,18 +2561,18 @@ impl<'a> ReactCtx<'a> {
     /// Add to one of this instance's counters.
     pub fn count(&mut self, name: &'static str, by: u64) {
         match &mut self.sink {
-            CtxSink::Direct { stats, .. } => stats.count(self.inst, name, by),
-            CtxSink::Fast { stats, .. } => stats.count(self.inst, name, by),
-            CtxSink::Buffered { buf, .. } => buf.ops.push(BufOp::Count(self.inst.0, name, by)),
+            CtxSink::Direct { stats, .. } | CtxSink::Fast { stats, .. } => {
+                stats.count(self.inst, name, by)
+            }
         }
     }
 
     /// Record a sample on one of this instance's sampled stats.
     pub fn sample(&mut self, name: &'static str, v: f64) {
         match &mut self.sink {
-            CtxSink::Direct { stats, .. } => stats.sample(self.inst, name, v),
-            CtxSink::Fast { stats, .. } => stats.sample(self.inst, name, v),
-            CtxSink::Buffered { buf, .. } => buf.ops.push(BufOp::Sample(self.inst.0, name, v)),
+            CtxSink::Direct { stats, .. } | CtxSink::Fast { stats, .. } => {
+                stats.sample(self.inst, name, v)
+            }
         }
     }
 
@@ -3033,9 +2580,9 @@ impl<'a> ReactCtx<'a> {
     /// (latency/occupancy distributions, not just min/mean/max).
     pub fn histo(&mut self, name: &'static str, v: u64) {
         match &mut self.sink {
-            CtxSink::Direct { stats, .. } => stats.histo(self.inst, name, v),
-            CtxSink::Fast { stats, .. } => stats.histo(self.inst, name, v),
-            CtxSink::Buffered { buf, .. } => buf.ops.push(BufOp::Histo(self.inst.0, name, v)),
+            CtxSink::Direct { stats, .. } | CtxSink::Fast { stats, .. } => {
+                stats.histo(self.inst, name, v)
+            }
         }
     }
 }
@@ -3380,36 +2927,31 @@ mod tests {
         assert_eq!(sim.metrics().defaults, 2 * 3 * 8);
     }
 
-    const ALL_SCHEDS: [SchedKind; 5] = [
+    const ALL_SCHEDS: [SchedKind; 4] = [
         SchedKind::Sweep,
         SchedKind::Dynamic,
         SchedKind::Static,
         SchedKind::Compiled,
-        SchedKind::CompiledParallel,
     ];
 
     #[test]
     fn compiled_schedulers_match_dynamic_on_gated_pair() {
         let mut reference = even_pair(SchedKind::Dynamic);
         reference.run(10).unwrap();
-        for sched in [SchedKind::Compiled, SchedKind::CompiledParallel] {
-            let mut sim = even_pair(sched);
-            assert!(sim.compiled_plan().is_some());
-            sim.run(10).unwrap();
-            let k = sim.instance_by_name("k").unwrap();
-            assert_eq!(sim.stats().counter(k, "received"), 5, "{sched:?}");
-            assert_eq!(sim.metrics().commits, reference.metrics().commits);
-            assert_eq!(sim.metrics().defaults, reference.metrics().defaults);
-            assert_eq!(sim.transfer_counts(), reference.transfer_counts());
-            // One react per instance per step on an acyclic net: the
-            // whole point of the compiled plan.
-            assert_eq!(sim.metrics().reacts, 2 * 10, "{sched:?}");
-        }
+        let mut sim = even_pair(SchedKind::Compiled);
+        assert!(sim.compiled_plan().is_some());
+        sim.run(10).unwrap();
+        let k = sim.instance_by_name("k").unwrap();
+        assert_eq!(sim.stats().counter(k, "received"), 5);
+        assert_eq!(sim.metrics().commits, reference.metrics().commits);
+        assert_eq!(sim.metrics().defaults, reference.metrics().defaults);
+        assert_eq!(sim.transfer_counts(), reference.transfer_counts());
+        // One react per instance per step on an acyclic net: the whole
+        // point of the compiled plan.
+        assert_eq!(sim.metrics().reacts, 2 * 10);
     }
 
-    /// A wide two-level netlist (N independent source->sink pairs) so the
-    /// parallel scheduler actually bursts: each level has 8 straight
-    /// nodes, split across 2-3 chunks at parallelism 3.
+    /// A wide two-level netlist: N independent source->sink pairs.
     fn wide_pairs(sched: SchedKind, n: usize) -> Simulator {
         let mut b = NetlistBuilder::new();
         for p in 0..n {
@@ -3426,30 +2968,6 @@ mod tests {
             b.connect(s, "out", k, "in").unwrap();
         }
         Simulator::new(b.build().unwrap(), sched)
-    }
-
-    #[test]
-    fn parallel_level_bursts_merge_identically() {
-        let mut reference = wide_pairs(SchedKind::Dynamic, 8);
-        reference.run(9).unwrap();
-        let mut sim = wide_pairs(SchedKind::CompiledParallel, 8);
-        sim.set_parallelism(3);
-        sim.run(9).unwrap();
-        assert_eq!(sim.transfer_counts(), reference.transfer_counts());
-        assert_eq!(sim.metrics().commits, reference.metrics().commits);
-        assert_eq!(sim.metrics().defaults, reference.metrics().defaults);
-        for p in 0..8 {
-            let k = sim.instance_by_name(&format!("k{p}")).unwrap();
-            assert_eq!(
-                sim.stats().counter(k, "received"),
-                reference.stats().counter(k, "received")
-            );
-        }
-        // Burst or not, every instance reacts exactly once per step.
-        let mut serial = wide_pairs(SchedKind::Compiled, 8);
-        serial.run(9).unwrap();
-        assert_eq!(sim.metrics().reacts, serial.metrics().reacts);
-        assert_eq!(sim.report(), serial.report());
     }
 
     /// A two-instance data cycle that settles: `a` drives unconditionally
@@ -3498,7 +3016,7 @@ mod tests {
         let mut reports = Vec::new();
         for sched in ALL_SCHEDS {
             let mut sim = build(sched);
-            if matches!(sched, SchedKind::Compiled | SchedKind::CompiledParallel) {
+            if sched == SchedKind::Compiled {
                 let plan = sim.compiled_plan().unwrap();
                 assert_eq!(plan.island_count(), 1, "the 2-cycle is one island");
             }

@@ -19,12 +19,12 @@
 //! * the layered kernel — [`topology`] (immutable structure: CSR wake
 //!   tables, flattened port slabs, cached static ranks), [`store`] (the
 //!   epoch-stamped per-timestep signal arena with O(1) reset), and
-//!   [`exec`] (the five schedulers, default control semantics for
+//!   [`exec`] (the four schedulers, default control semantics for
 //!   partial specifications, and the activity-gated commit phase);
 //! * [`sched`] — the static netlist analysis that accelerates the reaction
 //!   phase (paper ref [22]) — and [`compile`], which condenses that
 //!   analysis into a [`compile::CompiledPlan`] executed without any
-//!   per-step worklist (plus a level-parallel variant);
+//!   per-step worklist;
 //! * the observability layer — [`probe`] (the `Probe` event-stream trait
 //!   with zero cost when absent), [`trace`] (text + JSONL sinks),
 //!   [`vcd`] (GTKWave waveforms) and [`profile`] (per-module hot spots);
@@ -103,7 +103,7 @@ pub mod vcd;
 pub mod prelude {
     pub use crate::compile::{CompiledPlan, PlanLevel, PlanNode};
     pub use crate::error::{CheckpointError, DivergenceInfo, OscillatingWire, PanicInfo, SimError};
-    pub use crate::exec::{CommitCtx, EngineMetrics, ReactCtx, SchedKind, Simulator, Tracer};
+    pub use crate::exec::{CommitCtx, EngineMetrics, ReactCtx, SchedKind, Simulator};
     pub use crate::fault::{
         FailurePolicy, FaultKind, FaultPlan, InstFaultKind, InstanceFault, SignalFault,
     };
@@ -112,7 +112,7 @@ pub mod prelude {
     pub use crate::netlist::{EdgeId, Endpoint, InstanceId, Netlist, NetlistBuilder};
     pub use crate::params::{ParamValue, Params};
     pub use crate::probe::{
-        CountingProbe, MultiProbe, Probe, ProbeCounts, ProbeCountsHandle, ResolvedBy, TracerProbe,
+        CountingProbe, MultiProbe, Probe, ProbeCounts, ProbeCountsHandle, ResolvedBy,
     };
     pub use crate::profile::{ProfileHandle, ProfileProbe, ProfileReport, Profiler};
     pub use crate::registry::{Instantiated, Registry, Template};

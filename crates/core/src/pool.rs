@@ -1,26 +1,27 @@
-//! A small owned worker pool for the level-parallel compiled scheduler.
+//! A small owned worker pool for ensemble replica lanes.
 //!
-//! The pool exists because the parallel scheduler runs many short level
-//! bursts per time-step: spawning OS threads per level (as
-//! `std::thread::scope` would) costs more than the work. Instead a fixed
-//! set of workers is spawned once and fed borrowed closures per burst.
+//! The ensemble runner (`liberty-ensemble`) runs whole replicas
+//! concurrently: it spawns `lanes - 1` workers, hands every lane the same
+//! borrowed closure, and each lane pulls replicas off a shared queue
+//! until none are left. Borrowed closures let the lanes share the
+//! runner's queue, manifest writer and result map without `'static`
+//! bounds.
 //!
 //! Safety model: `run` erases the closure lifetimes to ship `&mut dyn
 //! FnMut` references through a channel, which is only sound because `run`
 //! does not return until every dispatched worker has reported completion
 //! — the borrows therefore strictly outlive their use. Worker panics are
 //! caught on the worker, carried back as payloads, and surfaced to the
-//! caller (who re-raises after restoring state). This is the single
-//! `unsafe` island of the crate.
+//! caller. This is the single `unsafe` island of the crate.
 //!
 //! Cancellation model: the pool needs no cancellation hooks of its own.
-//! Run governance ([`crate::supervisor`]) is cooperative and only checks
-//! its [`crate::supervisor::CancelToken`] at *step* boundaries, and
-//! `run`'s completion barrier guarantees a step never returns with a
-//! burst still in flight — so a cancelled level-parallel run always
-//! drains its dispatched partitions cleanly before the governed loop
-//! observes the token and checkpoints. No worker is ever abandoned
-//! mid-closure.
+//! Each replica runs governed, and run governance
+//! ([`crate::supervisor`]) checks its
+//! [`crate::supervisor::CancelToken`] at every *step* boundary. A
+//! tripped token therefore ends each lane's current replica at its next
+//! step boundary (with a final checkpoint), the lane stops pulling
+//! replicas, and `run`'s completion barrier returns once every lane has
+//! drained. No worker is ever abandoned mid-closure.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -47,10 +48,9 @@ struct Worker {
 
 /// A fixed-size pool of named worker threads executing borrowed closures.
 ///
-/// Public because it serves two masters: the level-parallel compiled
-/// scheduler (short bursts within one step) and the ensemble runner
-/// (`liberty-ensemble`), which uses the same lanes to run whole replicas
-/// concurrently.
+/// Public because its user lives in another crate: the ensemble runner
+/// (`liberty-ensemble`) runs one lane per worker, plus the calling
+/// thread, over a sweep's replicas.
 pub struct WorkerPool {
     workers: Vec<Worker>,
 }

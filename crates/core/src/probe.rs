@@ -130,31 +130,6 @@ pub trait Probe: Send {
     }
 }
 
-/// Observer of completed transfers only — the original, narrow tracing
-/// interface. Kept for compatibility; internally every tracer is adapted
-/// into a [`Probe`] by [`TracerProbe`].
-pub trait Tracer: Send {
-    /// Called once per completed transfer at the end of each time-step.
-    fn transfer(&mut self, now: u64, src: &str, dst: &str, value: &Value);
-}
-
-/// Compat shim: lifts a [`Tracer`] into the [`Probe`] world (only the
-/// `transfer` event is forwarded).
-pub struct TracerProbe(Box<dyn Tracer>);
-
-impl TracerProbe {
-    /// Wrap a tracer.
-    pub fn new(t: Box<dyn Tracer>) -> Self {
-        TracerProbe(t)
-    }
-}
-
-impl Probe for TracerProbe {
-    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
-        self.0.transfer(now, src, dst, value);
-    }
-}
-
 /// Fan-out probe: forwards every event to each attached probe in order,
 /// so `--trace --vcd --profile` can all observe one run.
 #[derive(Default)]

@@ -18,8 +18,8 @@
 //! a newly-resolved wire completes its three-way handshake. Because wire
 //! resolution is monotonic, that moment occurs exactly once per edge per
 //! step — the list is duplicate-free by construction. The commit phase
-//! reads it to mark active instances, feed the tracer, and maintain
-//! per-edge transfer counts without rescanning every edge.
+//! reads it to mark active instances, feed probe `transfer` events, and
+//! maintain per-edge transfer counts without rescanning every edge.
 
 use crate::error::SimError;
 use crate::netlist::EdgeId;

@@ -10,11 +10,11 @@
 //! and what every exit path reports ([`RunReport`]).
 //!
 //! Everything here is enforced **cooperatively at step boundaries** by
-//! [`crate::exec::Simulator::run_governed`]. A simulator with no
-//! governance installed carries a single `None` and `run` checks it once
-//! per call — the monomorphized reaction/commit hot loops never see any
-//! of this, exactly like the checkpoint machinery (see
-//! `docs/ROBUSTNESS.md` §9).
+//! the simulator's step loop, which every run entry point shares. A
+//! simulator with no governance installed carries a single `None` that
+//! the loop tests once per step — the monomorphized reaction/commit hot
+//! loops never see any of this, exactly like the checkpoint machinery
+//! (see `docs/ROBUSTNESS.md` §9).
 //!
 //! The escalation ladder on failure, most specific remedy first:
 //!
@@ -135,11 +135,10 @@ impl BudgetKind {
 // ---------------------------------------------------------------------
 
 /// A cheap, cloneable cancellation flag. Trip it from any thread (or a
-/// signal handler, via [`CancelToken::from_static`]) and the governed
-/// run loop notices at the next step boundary, drains in-flight work —
-/// the level-parallel scheduler's completion barrier guarantees no
-/// partition is abandoned mid-burst — takes a final checkpoint and
-/// returns a [`RunReport`] with [`RunOutcome::Cancelled`].
+/// signal handler, via [`CancelToken::from_static`]) and the run loop
+/// notices at the next step boundary — a step is never cut in half —
+/// takes a final checkpoint and returns a [`RunReport`] with
+/// [`RunOutcome::Cancelled`].
 #[derive(Clone)]
 pub struct CancelToken {
     flag: Flag,
@@ -228,12 +227,11 @@ impl RetryCause {
     }
 }
 
-/// How failure recovery escalates, generalizing the checkpoint pass's
-/// hardcoded rollback-retry-once: a bounded number of retries, a
+/// How failure recovery escalates: a bounded number of retries, a
 /// per-cause cap, and exponential backoff with seeded jitter between
-/// attempts. Install with [`crate::exec::Simulator::set_retry_policy`]
-/// (which also requires rollback to be armed — retries restore the last
-/// checkpoint).
+/// attempts. Installing one with
+/// [`crate::exec::Simulator::set_retry_policy`] is what arms
+/// roll-back-and-retry: retries restore the last checkpoint.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Total retries across the whole run call; exhausting this budget
@@ -241,9 +239,9 @@ pub struct RetryPolicy {
     /// error surfaces).
     pub max_retries: u64,
     /// Retries per individual cause (one instance, one edge). The
-    /// default 1 reproduces the original retry-once behaviour: a second
-    /// failure of the same instance is organic — it replays identically,
-    /// so retrying again would loop forever.
+    /// default 1 retries each cause once: a second failure of the same
+    /// instance is organic — it replays identically, so retrying again
+    /// would loop forever.
     pub per_cause: u32,
     /// Base of the exponential backoff between retries: attempt *k*
     /// sleeps `base * 2^(k-1)` (capped at `max_backoff`), plus jitter.
@@ -271,6 +269,15 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// Retry each instance/edge exactly once, with no total cap and no
+    /// backoff: the plain roll-back-and-retry recovery.
+    pub fn once() -> Self {
+        RetryPolicy {
+            max_retries: u64::MAX,
+            ..RetryPolicy::default()
+        }
+    }
+
     /// A policy with `max_retries` total attempts and the defaults
     /// elsewhere.
     pub fn with_max_retries(n: u64) -> Self {
@@ -479,11 +486,12 @@ impl RunReport {
 pub(crate) struct SupervisorState {
     pub(crate) budget: RunBudget,
     pub(crate) cancel: Option<CancelToken>,
-    pub(crate) retry: RetryPolicy,
+    /// `Some` exactly when roll-back-and-retry recovery is armed.
+    pub(crate) retry: Option<RetryPolicy>,
     pub(crate) gauge: Option<MemoryGauge>,
     /// Retries this run call, per cause.
     pub(crate) retries: BTreeMap<&'static str, u64>,
-    /// Total retries this run call (checked against `retry.max_retries`).
+    /// Total retries this run call (checked against `max_retries`).
     pub(crate) total_retries: u64,
     /// Peak gauge reading this run call.
     pub(crate) mem_peak: u64,
@@ -496,7 +504,7 @@ impl SupervisorState {
         SupervisorState {
             budget: RunBudget::default(),
             cancel: None,
-            retry: RetryPolicy::default(),
+            retry: None,
             gauge: None,
             retries: BTreeMap::new(),
             total_retries: 0,

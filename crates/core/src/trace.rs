@@ -8,7 +8,7 @@
 //! attribution in [`crate::profile`].
 
 use crate::netlist::{EdgeId, InstanceId};
-use crate::probe::{JsonEsc, Probe, ResolvedBy, Tracer};
+use crate::probe::{JsonEsc, Probe, ResolvedBy};
 use crate::signal::Wire;
 use crate::topology::Topology;
 use crate::value::Value;
@@ -45,8 +45,8 @@ impl<W: Write + Send> TextTracer<W> {
     }
 }
 
-impl<W: Write + Send> Tracer for TextTracer<W> {
-    fn transfer(&mut self, now: u64, src: &str, dst: &str, value: &Value) {
+impl<W: Write + Send> Probe for TextTracer<W> {
+    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
         if self.limit > 0 && self.written >= self.limit {
             // Say so once instead of silently dropping the tail.
             if !self.truncated {
@@ -137,8 +137,8 @@ impl TraceHandle {
     }
 }
 
-impl Tracer for RecordingTracer {
-    fn transfer(&mut self, now: u64, src: &str, dst: &str, value: &Value) {
+impl Probe for RecordingTracer {
+    fn transfer(&mut self, now: u64, _edge: EdgeId, src: &str, dst: &str, value: &Value) {
         self.events.lock().expect("trace lock").push(TraceEvent {
             now,
             src: src.to_owned(),
@@ -427,7 +427,7 @@ mod tests {
     fn text_tracer_formats_and_limits() {
         let mut sim = tiny_sim();
         let store = Shared::default();
-        sim.set_tracer(Box::new(TextTracer::new(store.clone(), 2)));
+        sim.set_probe(Box::new(TextTracer::new(store.clone(), 2)));
         sim.run(5).unwrap();
         let text = store.text();
         let lines: Vec<&str> = text.lines().collect();
@@ -442,7 +442,7 @@ mod tests {
     fn text_tracer_unbounded_has_no_marker() {
         let mut sim = tiny_sim();
         let store = Shared::default();
-        sim.set_tracer(Box::new(TextTracer::new(store.clone(), 0)));
+        sim.set_probe(Box::new(TextTracer::new(store.clone(), 0)));
         sim.run(4).unwrap();
         let text = store.text();
         assert_eq!(text.lines().count(), 4);
@@ -453,7 +453,7 @@ mod tests {
     fn recording_tracer_captures_events() {
         let mut sim = tiny_sim();
         let (tracer, handle) = RecordingTracer::new();
-        sim.set_tracer(Box::new(tracer));
+        sim.set_probe(Box::new(tracer));
         assert!(handle.is_empty());
         sim.run(3).unwrap();
         let ev = handle.events();
@@ -468,7 +468,7 @@ mod tests {
     fn trace_handle_take_drains_and_clear_discards() {
         let mut sim = tiny_sim();
         let (tracer, handle) = RecordingTracer::new();
-        sim.set_tracer(Box::new(tracer));
+        sim.set_probe(Box::new(tracer));
         sim.run(3).unwrap();
         let first = handle.take();
         assert_eq!(first.len(), 3);

@@ -546,7 +546,7 @@ fn rollback_recovers_an_injected_panic_and_completes() {
     sim.set_fault_plan(FaultPlan::new(7).panic_at(InstanceId(0), 3));
     sim.set_failure_policy(FailurePolicy::Quarantine);
     sim.set_auto_checkpoint(2);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::once());
     sim.run(8).unwrap();
     assert!(
         sim.quarantined_instances().is_empty(),
@@ -597,7 +597,7 @@ fn organic_panic_is_retried_once_then_quarantine_stands() {
     let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
     sim.set_failure_policy(FailurePolicy::Quarantine);
     sim.set_auto_checkpoint(2);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::once());
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let r = sim.run(8);
@@ -627,7 +627,7 @@ fn organic_divergence_is_not_rolled_back() {
     let mut sim = Simulator::new(b.build().unwrap(), SchedKind::Dynamic);
     sim.set_watchdog(32);
     sim.set_auto_checkpoint(4);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::once());
     let err = sim.run(4).unwrap_err();
     assert!(err.as_divergence().is_some(), "{err}");
     assert_eq!(sim.rollbacks(), 0);
@@ -655,13 +655,44 @@ fn divergence_with_plan_entry_is_retried_once() {
     sim.set_fault_plan(FaultPlan::new(9).drop_wire(EdgeId(0), Wire::Enable, 0, 2));
     sim.set_watchdog(32);
     sim.set_auto_checkpoint(4);
-    sim.set_rollback(true);
+    sim.set_retry_policy(RetryPolicy::once());
     let err = sim.run(4).unwrap_err();
     assert!(err.as_divergence().is_some(), "{err}");
     assert_eq!(sim.rollbacks(), 1, "one masked retry, then give up");
     let c = counts.get();
     assert_eq!(c.rollbacks, 1);
     assert_eq!(c.restores, 1);
+}
+
+#[test]
+fn run_until_takes_the_same_auto_checkpoints_as_run() {
+    // Every run entry point shares one step loop, so an ungoverned
+    // `run_until` checkpoints at the same step boundaries as `run`.
+    let checkpoints = |until: bool| {
+        let (mut sim, _got) = src_sink();
+        let (probe, counts) = CountingProbe::new();
+        sim.set_probe(Box::new(probe));
+        sim.set_auto_checkpoint(2);
+        if until {
+            assert_eq!(sim.run_until(8, |_| false).unwrap(), 8);
+        } else {
+            sim.run(8).unwrap();
+        }
+        assert_eq!(sim.last_checkpoint().map(|s| s.now()), Some(8));
+        counts.get().checkpoints
+    };
+    assert_eq!(checkpoints(false), 4);
+    assert_eq!(checkpoints(true), 4);
+}
+
+#[test]
+fn plain_run_leaves_the_simulator_ungoverned() {
+    let (mut sim, _got) = src_sink();
+    sim.set_auto_checkpoint(2);
+    sim.run(4).unwrap();
+    sim.run_until(4, |_| false).unwrap();
+    assert!(!sim.is_governed());
+    assert!(sim.last_run_report().is_none());
 }
 
 #[test]
