@@ -1,11 +1,11 @@
 //! Handler-body microbenchmark: per-react dispatch + contract-check cost,
-//! dynamic `Module::react` vs the type-specialized kernels (E19's
+//! `Module::react` over the signal store vs the same bodies on lanes (E19's
 //! denominator and numerator).
 //!
 //! Each row is a homogeneous netlist dominated by one `pcl` template, run
-//! under the serial compiled scheduler twice — specialization off (boxed
-//! `Value` traffic through `ReactCtx`, contracts re-checked on every
-//! `send`/`recv`) and on (unboxed word lanes, contracts verified once at
+//! under the serial compiled scheduler twice — specialization off (writes
+//! through `ReactCtx` into the store, contracts re-checked on every
+//! `send`/`recv`) and on (per-edge lanes, contracts verified once at
 //! plan-compile time). The host-time delta divided by the react count
 //! isolates what one handler invocation pays for dynamic dispatch and
 //! per-call checking, template by template; the `inverter` row is the

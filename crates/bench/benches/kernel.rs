@@ -261,7 +261,7 @@ fn main() {
         )
     );
 
-    // --- Handler specialization: compiled plan, kernels on/off ---
+    // --- Handler specialization: compiled plan, lanes on/off ---
     // The reps interleave, alternating which side runs first, so host
     // drift during the measurement lands on both sides of the margin.
     let (mut on_runs, mut dyn_runs) = (Vec::new(), Vec::new());

@@ -1432,7 +1432,7 @@ fn e18() -> String {
 }
 
 // ----------------------------------------------------------------------
-// E19 — handler specialization: type-specialized kernels vs dynamic react.
+// E19 — handler specialization: lane execution vs dynamic react.
 // ----------------------------------------------------------------------
 fn e19() -> String {
     use liberty_bench::handler::{best_of, build_shape, CONTROL_SHAPE, SHAPES};
@@ -1498,14 +1498,15 @@ fn e19() -> String {
         .collect();
 
     format!(
-        "## E19 — handler specialization: type-specialized kernels vs dynamic react\n\n\
-         The serial compiled plan lowers eligible `pcl` handlers (queue, register,\n\
-         delay, tee, sink, source, alu, inverter) into monomorphized kernels over\n\
-         unboxed word lanes at plan-compile time (docs/KERNEL.md §7): contracts are\n\
-         verified once when the plan is built, and the per-react path runs no boxed\n\
-         `Value` traffic, no port-name hashing, and no per-call contract checks.\n\
-         Ineligible or demoted instances keep the dynamic `Module::react` path in\n\
-         the same plan; probes, faults, and watchdogs despecialize losslessly\n\
+        "## E19 — handler specialization: lane execution vs dynamic react\n\n\
+         The serial compiled plan runs eligible `pcl` handlers (queue, register,\n\
+         delay, tee, sink, source, alu, inverter) on lanes (docs/KERNEL.md §7):\n\
+         each template's one `react`/`commit` body, generic over the port-access\n\
+         traits, is instantiated over the signal store and over per-edge lanes\n\
+         that bypass it; contracts are verified once when the plan is built, and\n\
+         the lane path runs no store writes and no per-call contract checks.\n\
+         Ineligible or demoted instances keep the store path in the same plan;\n\
+         probes, faults, and watchdogs switch to it with no state copy\n\
          (`crates/bench/tests/specialization.rs` proves byte-identical streams,\n\
          state hashes, and checkpoint compatibility both ways).\n\n\
          Each row is a homogeneous netlist dominated by one template ({stages}\n\

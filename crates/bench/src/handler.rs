@@ -3,7 +3,8 @@
 //! Homogeneous netlists, each dominated by one `pcl` template, used by
 //! `benches/handler.rs` and the report binary's E19 section to measure
 //! per-react dispatch + contract-check cost with handler specialization
-//! off (dynamic `Module::react`) vs on (type-specialized kernels).
+//! off (`Module::react` over the signal store) vs on (the same bodies on
+//! lanes).
 //!
 //! The `inverter` shape doubles as the *minimal-handler control*: its
 //! body is a single word flip, so its per-react cost is, to first order,

@@ -41,8 +41,8 @@ const W_FANOUT: &str = "fanout 16x2 (acyclic)";
 const W_CHAIN: &str = "chain 256 (acyclic)";
 
 /// The module-dominated specialization workload (E19): every instance is
-/// a stock `pcl` template, so under the serial compiled scheduler the
-/// whole netlist lowers to type-specialized kernels.
+/// a stock `pcl` template, so under the serial compiled scheduler every
+/// instance runs its handlers on lanes.
 pub const W_PCL: &str = "pcl pipeline 48 (specializable)";
 
 /// The acyclic subset of [`WORKLOADS`] (the E18 speedup bar applies to

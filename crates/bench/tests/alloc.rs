@@ -214,3 +214,24 @@ fn dynamic_arbiter_and_queue_allocate_nothing() {
     assert!(received >= STEPS / 2, "received {received}");
     assert_eq!(stats.counter(arb, "grants"), stats.counter(q, "enq"));
 }
+
+#[test]
+fn the_lane_path_allocates_nothing() {
+    const STEPS: u64 = 4096;
+    // W_PCL is stock `pcl` templates only, so every instance runs its
+    // handlers on lanes; its sinks count rather than collect.
+    let mut sim = liberty_bench::kernel::build(liberty_bench::kernel::W_PCL, SchedKind::Compiled);
+    let plan = sim.plan_summary().expect("compiled plan");
+    assert_eq!(plan.dynamic, 0, "dynamic stragglers in W_PCL:\n{plan}");
+    sim.run(64).unwrap();
+    let before = allocs();
+    sim.run(STEPS).unwrap();
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state lane handlers must not allocate"
+    );
+    let transfers: u64 = sim.transfer_counts().iter().sum();
+    assert!(transfers >= STEPS * 20, "moved {transfers} values");
+}

@@ -1,6 +1,6 @@
-//! Specialization-equivalence suite: type-specialized handler kernels
-//! must be *observationally indistinguishable* from the dynamic handler
-//! bodies they replace (docs/KERNEL.md §7).
+//! Specialization-equivalence suite: handler bodies run on lanes must be
+//! *observationally indistinguishable* from the same bodies run over the
+//! signal store (docs/KERNEL.md §7).
 //!
 //! The oracle mirrors the scheduler-equivalence suite, pointed at the
 //! specialization toggle instead of the scheduler axis:
@@ -12,21 +12,29 @@
 //!    transfer counts, engine metrics, and snapshot bytes with
 //!    specialization on vs off, for every spec in `specs/` and the
 //!    module-dominated E19 workload.
-//! 3. **Canonical probe streams** — attaching a probe mid-run writes
-//!    kernel state back losslessly; the stream suffix and final state
-//!    must match a run that never specialized.
+//! 3. **Canonical probe streams** — attaching a probe mid-run switches
+//!    to the store path; the stream suffix and final state must match a
+//!    run that never specialized.
 //! 4. **Checkpoint compatibility** — snapshots taken with specialization
 //!    on restore into simulators running with it off (and vice versa)
 //!    and resume byte-identically.
 //! 5. **Fault plans force fallback, not wrong answers** — random
 //!    (seed, rate) draws yield one canonical stream and one verdict
 //!    whether or not specialization was requested.
+//! 6. **Random netlists** — seeded random `pcl` netlists, with dynamic
+//!    templates spliced in so slow edges and closure demotions occur,
+//!    give the same final state with specialization on or off.
+//! 7. **Restore in place** — restoring a snapshot into the simulator
+//!    that took it (which replaces its statistics store under the
+//!    templates' stat handles) continues exactly like an uninterrupted
+//!    run.
 
 use liberty_bench::kernel::{build, W_PCL};
 use liberty_core::prelude::*;
 use liberty_lss::build_simulator;
 use liberty_systems::full_registry;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::io::Write;
 
 const CYCLES: u64 = 32;
@@ -119,6 +127,37 @@ fn specializable_systems_actually_specialize() {
                 row.name
             );
         }
+    }
+}
+
+#[test]
+fn shipped_specs_keep_their_specialized_census() {
+    let path = |name: &str| {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../specs")
+            .join(name)
+    };
+    for (name, specialized, dynamic) in [
+        ("pipeline.lss", 6, 0),
+        ("refinement.lss", 3, 0),
+        ("dual_core_noc.lss", 12, 194),
+        ("ring_osc.lss", 0, 3),
+    ] {
+        let src = std::fs::read_to_string(path(name)).expect("spec readable");
+        let (sim, _) = build_simulator(
+            &src,
+            &full_registry(),
+            "main",
+            &Params::new(),
+            SchedKind::Compiled,
+        )
+        .expect("spec elaborates");
+        let s = sim.plan_summary().expect("compiled plan");
+        assert_eq!(
+            (s.specialized, s.dynamic),
+            (specialized, dynamic),
+            "{name}:\n{s}"
+        );
     }
 }
 
@@ -267,4 +306,212 @@ fn ring_osc_divergence_is_specialization_independent() {
     // the dynamic engine), so both runs must report the exact same
     // structured divergence.
     assert_eq!(diverge(true), diverge(false));
+}
+
+#[test]
+fn restore_into_the_same_specialized_simulator_is_exact() {
+    let mut control = build_target(W_PCL);
+    control.run(2 * CYCLES).unwrap();
+    let mut sim = build_target(W_PCL);
+    sim.run(CYCLES / 2).unwrap();
+    let snap = sim.snapshot().expect("snapshot");
+    sim.run(CYCLES).unwrap();
+    sim.restore(&snap).expect("restore");
+    sim.run(2 * CYCLES - CYCLES / 2).unwrap();
+    let (fp, fp_control) = (fingerprint(&mut sim), fingerprint(&mut control));
+    assert_eq!(fp.0, fp_control.0, "stats report");
+    assert_eq!(fp.5, fp_control.5, "final snapshot bytes");
+    assert_eq!(fp, fp_control, "final state");
+}
+
+/// A splitmix64 stream: a random netlist is a pure function of its
+/// seed, which the property prints on failure.
+struct Draw(u64);
+
+impl Draw {
+    /// Uniform-ish in `lo..=hi`.
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        lo + (z ^ (z >> 31)) % (hi - lo + 1)
+    }
+}
+
+/// Builder state of one random netlist.
+struct Gen {
+    d: Draw,
+    b: NetlistBuilder,
+    /// Output connections not yet wired to a consumer, oldest first.
+    open: VecDeque<(InstanceId, &'static str)>,
+    n: usize,
+}
+
+impl Gen {
+    fn add(&mut self, (spec, module): Instantiated) -> InstanceId {
+        self.n += 1;
+        self.b.add(format!("i{}", self.n), spec, module).unwrap()
+    }
+
+    /// A seq, repeating or script source (words, bools or alu tuples).
+    fn source(&mut self) -> InstanceId {
+        use liberty_pcl::{alu, source};
+        let d = &mut self.d;
+        let inst = match d.range(0, 2) {
+            0 => source::seq(
+                &Params::new()
+                    .with("start", d.range(0, 99) as i64)
+                    .with("step", d.range(1, 5) as i64)
+                    .with("count", d.range(4, 40) as i64)
+                    .with("period", d.range(1, 3) as i64),
+            )
+            .unwrap(),
+            1 => source::repeating(match d.range(0, 2) {
+                0 => Value::Word(d.range(0, 1 << 20)),
+                1 => Value::Bool(d.range(0, 1) == 1),
+                _ => alu::op_value(d.range(0, 9), d.range(0, 99), d.range(0, 9)),
+            }),
+            _ => source::script(
+                (0..d.range(0, 12))
+                    .map(|_| match d.range(0, 3) {
+                        0 => Value::Bool(d.range(0, 1) == 1),
+                        _ => Value::Word(d.range(0, 1000)),
+                    })
+                    .collect(),
+            ),
+        };
+        self.add(inst)
+    }
+
+    /// Feed `dst.in` from the oldest open output, minting a source when
+    /// none is left.
+    fn feed(&mut self, dst: InstanceId) {
+        let (src, port) = match self.open.pop_front() {
+            Some(o) => o,
+            None => (self.source(), "out"),
+        };
+        self.b.connect(src, port, dst, "in").unwrap();
+    }
+}
+
+/// A random acyclic netlist of about `nodes` `pcl` instances: queues
+/// (depth 1-4, `in`/`out` 1-4 wide, so often contended), registers,
+/// delays, `all`/`any` tees with 1-4 consumers, inverters, alus fed by
+/// tuple scripts, counting sinks and seq/repeating/script sources, with
+/// round-robin arbiters and bypass queues spliced in. Those two stay
+/// dynamic, so lane producers feed them through slow edges and their
+/// consumers (and ack-reading producers) are demoted by closure.
+fn random_pcl(seed: u64, nodes: usize) -> Simulator {
+    use liberty_pcl::{alu, arbiter, delay, inverter, queue, register, sink, source, tee};
+    let p = Params::new;
+    let mut g = Gen {
+        d: Draw(seed),
+        b: NetlistBuilder::new(),
+        open: VecDeque::new(),
+        n: 0,
+    };
+    for _ in 0..nodes {
+        let d = &mut g.d;
+        let (inst, ins, outs) = match d.range(0, 15) {
+            0..=2 => {
+                let q = queue::queue(&p().with("depth", d.range(1, 4) as i64)).unwrap();
+                (q, d.range(1, 4), d.range(1, 4))
+            }
+            3 | 4 => (register::reg(&p()).unwrap(), 1, 1),
+            5 | 6 => {
+                let l = d.range(1, 3) as i64;
+                (delay::delay(&p().with("latency", l)).unwrap(), 1, 1)
+            }
+            7 | 8 => {
+                let policy = if d.range(0, 1) == 0 { "all" } else { "any" };
+                (
+                    tee::tee(&p().with("policy", policy)).unwrap(),
+                    1,
+                    d.range(1, 4),
+                )
+            }
+            9 => (inverter::inverter(&p()).unwrap(), 1, 1),
+            10 => {
+                let ops = (0..d.range(2, 10))
+                    .map(|_| alu::op_value(d.range(0, 9), d.range(0, 1 << 16), d.range(0, 63)))
+                    .collect();
+                let script = g.add(source::script(ops));
+                let a = g.add(alu::alu(&p()).unwrap());
+                g.b.connect(script, "out", a, "in").unwrap();
+                g.open.push_back((a, "out"));
+                continue;
+            }
+            11 => (sink::counting(&p()).unwrap(), d.range(1, 3), 0),
+            12 | 13 => {
+                let s = g.source();
+                g.open.push_back((s, "out"));
+                continue;
+            }
+            14 => {
+                let arb = arbiter::arbiter(&p().with("policy", "round_robin")).unwrap();
+                (arb, d.range(1, 3), 1)
+            }
+            _ => {
+                let depth = d.range(1, 3) as i64;
+                let q = queue::queue(&p().with("depth", depth).with("bypass", true)).unwrap();
+                (q, 1, 1)
+            }
+        };
+        let id = g.add(inst);
+        for _ in 0..ins {
+            g.feed(id);
+        }
+        for _ in 0..outs {
+            g.open.push_back((id, "out"));
+        }
+    }
+    while let Some((src, port)) = g.open.pop_front() {
+        let k = g.add(sink::counting(&p()).unwrap());
+        g.b.connect(src, port, k, "in").unwrap();
+    }
+    Simulator::new(g.b.build().unwrap(), SchedKind::Compiled)
+}
+
+#[test]
+fn random_netlists_mix_lanes_and_store() {
+    // The property below is only as strong as its netlists: over a fixed
+    // seed range they must include fully specialized ones and ones with
+    // slow edges between lane producers and dynamic consumers.
+    let (mut all_lanes, mut mixed) = (false, false);
+    for seed in 0..64 {
+        let s = random_pcl(seed, 12).plan_summary().expect("compiled plan");
+        all_lanes |= s.dynamic == 0;
+        mixed |= s.dynamic > 0 && s.specialized > 0 && s.fast_edges > 0;
+    }
+    assert!(all_lanes && mixed, "lanes-only {all_lanes}, mixed {mixed}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Lane and store execution of the same random netlist are
+    /// indistinguishable in final state.
+    #[test]
+    fn random_pcl_netlists_are_specialization_invariant(
+        seed in any::<u64>(),
+        nodes in 4usize..28,
+    ) {
+        let mut on = random_pcl(seed, nodes);
+        prop_assert!(on.plan_summary().expect("compiled plan").specialized > 0);
+        let r_on = on.run(CYCLES + 16).map_err(|e| e.to_string());
+        let mut off = random_pcl(seed, nodes);
+        off.set_specialization(false);
+        let r_off = off.run(CYCLES + 16).map_err(|e| e.to_string());
+        prop_assert_eq!(&r_on, &r_off, "verdict");
+        let (fp_on, fp_off) = (fingerprint(&mut on), fingerprint(&mut off));
+        prop_assert_eq!(&fp_on.0, &fp_off.0, "stats report");
+        prop_assert_eq!(&fp_on.1, &fp_off.1, "transfer counts");
+        prop_assert_eq!(
+            (fp_on.2, fp_on.3, fp_on.4),
+            (fp_off.2, fp_off.3, fp_off.4),
+            "reacts/commits/defaults"
+        );
+        prop_assert_eq!(&fp_on.5, &fp_off.5, "snapshot bytes");
+    }
 }

@@ -22,12 +22,9 @@
 //!   oscillation diagnostics when a cyclically inconsistent island fails
 //!   to converge.
 //!
-//! Nodes are additionally grouped into **levels** (equal topological
-//! rank). No dependency edge connects two nodes of the same level: both
-//! endpoints of an edge sit either in the same island or in strictly
-//! different levels. Within a level, straight nodes come first (in
-//! ascending instance id), then islands — a fixed order that defines the
-//! plan.
+//! Nodes are ordered by topological rank; within a rank, straight nodes
+//! come first (in ascending instance id), then islands (by first member
+//! id) — a fixed order that defines the plan.
 //!
 //! **Correctness.** Module handlers are monotone and the per-step fixed
 //! point is unique (paper §2.1), so invoking an acyclic instance once —
@@ -59,27 +56,13 @@ pub enum PlanNode {
     },
 }
 
-/// One topological level of the plan: a range of `nodes` with equal rank.
-/// `nodes[start..straight_end]` are [`PlanNode::Straight`] in ascending
-/// instance id; `nodes[straight_end..end]` are islands.
-#[derive(Clone, Copy, Debug)]
-pub struct PlanLevel {
-    /// First node of the level.
-    pub start: u32,
-    /// End of the straight-node prefix.
-    pub straight_end: u32,
-    /// End of the level (exclusive).
-    pub end: u32,
-}
-
 /// The compiled static schedule: SCC condensation nodes in topological
-/// order, grouped into levels. Built once per [`Topology`] (see
+/// order. Built once per [`Topology`] (see
 /// [`Topology::plan`], which caches it) and shared by every simulator
 /// running a compiled scheduler over that topology.
 #[derive(Debug)]
 pub struct CompiledPlan {
     nodes: Vec<PlanNode>,
-    levels: Vec<PlanLevel>,
     /// Per instance: ordinal of its island, or [`NO_ISLAND`].
     island_of: Vec<u32>,
     n_islands: u32,
@@ -124,21 +107,9 @@ impl CompiledPlan {
         entries.sort_by_key(|e| (e.rank, e.cyclic, e.first));
 
         let mut nodes = Vec::with_capacity(n_comp);
-        let mut levels: Vec<PlanLevel> = Vec::new();
         let mut island_of = vec![NO_ISLAND; n];
         let mut n_islands = 0u32;
-        let mut cur_rank = None;
         for e in entries {
-            if cur_rank != Some(e.rank) {
-                cur_rank = Some(e.rank);
-                let at = nodes.len() as u32;
-                levels.push(PlanLevel {
-                    start: at,
-                    straight_end: at,
-                    end: at,
-                });
-            }
-            let level = levels.last_mut().expect("level opened above");
             if e.cyclic {
                 let island = n_islands;
                 n_islands += 1;
@@ -148,11 +119,8 @@ impl CompiledPlan {
                 }
                 nodes.push(PlanNode::Island { island, members: m });
             } else {
-                debug_assert_eq!(level.straight_end, nodes.len() as u32, "straights first");
                 nodes.push(PlanNode::Straight(e.first));
-                level.straight_end += 1;
             }
-            level.end = nodes.len() as u32;
         }
         let straights = nodes
             .iter()
@@ -163,7 +131,6 @@ impl CompiledPlan {
             .collect();
         CompiledPlan {
             nodes,
-            levels,
             island_of,
             n_islands,
             straights,
@@ -173,11 +140,6 @@ impl CompiledPlan {
     /// The full invocation sequence, topological order.
     pub fn nodes(&self) -> &[PlanNode] {
         &self.nodes
-    }
-
-    /// The level structure (ranges over [`CompiledPlan::nodes`]).
-    pub fn levels(&self) -> &[PlanLevel] {
-        &self.levels
     }
 
     /// The island ordinal of an instance, or [`NO_ISLAND`].
@@ -252,7 +214,7 @@ mod tests {
 
     #[test]
     fn chain_compiles_to_straight_line() {
-        // a -> b -> c: three straight nodes, three levels, topo order.
+        // a -> b -> c: three straight nodes in topological order.
         let mut b = NetlistBuilder::new();
         let ids: Vec<_> = ["a", "b", "c"]
             .iter()
@@ -265,13 +227,13 @@ mod tests {
         assert!(plan.is_fully_acyclic());
         assert_eq!(plan.straight_count(), 3);
         assert_eq!(straight_ids(&plan), vec![0, 1, 2]);
-        assert_eq!(plan.levels().len(), 3);
+        assert_eq!(plan.nodes().len(), 3);
         assert_eq!(plan.island_of(1), NO_ISLAND);
     }
 
     #[test]
     fn diamond_shares_a_level() {
-        // a -> {b, c} -> d: b and c share the middle level.
+        // a -> {b, c} -> d: b and c share the middle rank.
         let mut b = NetlistBuilder::new();
         let ids: Vec<_> = ["a", "b", "c", "d"]
             .iter()
@@ -283,11 +245,9 @@ mod tests {
         b.connect(ids[2], "out", ids[3], "in").unwrap();
         let (topo, _) = b.build().unwrap().into_parts();
         let plan = CompiledPlan::compile(&topo);
-        assert_eq!(plan.levels().len(), 3);
-        let mid = plan.levels()[1];
-        assert_eq!(mid.end - mid.start, 2);
-        assert_eq!(mid.straight_end, mid.end, "no islands in the diamond");
-        // Straight nodes within a level are id-ordered.
+        assert!(plan.is_fully_acyclic(), "no islands in the diamond");
+        // Straight nodes of equal rank are id-ordered.
+        assert_eq!(plan.nodes().len(), 4);
         assert_eq!(straight_ids(&plan), vec![0, 1, 2, 3]);
     }
 
@@ -357,42 +317,5 @@ mod tests {
         let plan = CompiledPlan::compile(&topo);
         assert_eq!(plan.island_count(), 1);
         assert_eq!(plan.island_of(0), plan.island_of(1));
-    }
-
-    #[test]
-    fn levels_partition_the_nodes() {
-        let mut b = NetlistBuilder::new();
-        let ids: Vec<_> = (0..6)
-            .map(|i| b.add(format!("m{i}"), spec(), Box::new(Nop)).unwrap())
-            .collect();
-        b.connect(ids[0], "out", ids[1], "in").unwrap();
-        b.connect(ids[2], "out", ids[3], "in").unwrap();
-        b.connect(ids[3], "out", ids[2], "in").unwrap(); // 2<->3 island
-        b.connect(ids[1], "out", ids[4], "in").unwrap();
-        let (topo, _) = b.build().unwrap().into_parts();
-        let plan = CompiledPlan::compile(&topo);
-        let mut covered = 0usize;
-        for l in plan.levels() {
-            assert!(l.start <= l.straight_end && l.straight_end <= l.end);
-            covered += (l.end - l.start) as usize;
-        }
-        assert_eq!(covered, plan.nodes().len());
-        // Every instance is in exactly one node.
-        let mut seen = [false; 6];
-        for n in plan.nodes() {
-            match n {
-                PlanNode::Straight(i) => {
-                    assert!(!seen[*i as usize]);
-                    seen[*i as usize] = true;
-                }
-                PlanNode::Island { members, .. } => {
-                    for &m in members {
-                        assert!(!seen[m as usize]);
-                        seen[m as usize] = true;
-                    }
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

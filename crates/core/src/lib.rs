@@ -101,16 +101,17 @@ pub mod vcd;
 
 /// Convenience re-exports for module and system authors.
 pub mod prelude {
-    pub use crate::compile::{CompiledPlan, PlanLevel, PlanNode};
+    pub use crate::compile::{CompiledPlan, PlanNode};
     pub use crate::error::{CheckpointError, DivergenceInfo, OscillatingWire, PanicInfo, SimError};
     pub use crate::exec::{CommitCtx, EngineMetrics, ReactCtx, SchedKind, Simulator};
     pub use crate::fault::{
         FailurePolicy, FaultKind, FaultPlan, InstFaultKind, InstanceFault, SignalFault,
     };
-    pub use crate::kernel::{AluFn, InstanceSummary, KernelHint, PlanSummary, SinkCollect};
-    pub use crate::module::{Dir, Module, ModuleSpec, PortId, PortSpec};
+    pub use crate::kernel::{InstanceSummary, KernelHint, LaneCommit, LaneReact, PlanSummary};
+    pub use crate::module::{CommitPorts, Dir, Module, ModuleSpec, PortId, PortSpec, ReactPorts};
     pub use crate::netlist::{EdgeId, Endpoint, InstanceId, Netlist, NetlistBuilder};
     pub use crate::params::{ParamValue, Params};
+    pub use crate::port_generic_handlers;
     pub use crate::probe::{
         CountingProbe, MultiProbe, Probe, ProbeCounts, ProbeCountsHandle, ResolvedBy,
     };
@@ -118,7 +119,7 @@ pub mod prelude {
     pub use crate::registry::{Instantiated, Registry, Template};
     pub use crate::signal::{Res, SignalState, Wire, WireWrite, WriteOutcome};
     pub use crate::snapshot::{Snapshot, StateReader, StateWriter};
-    pub use crate::stats::{Histogram, Sample, Stats, StatsReport};
+    pub use crate::stats::{Histogram, InstanceStats, Sample, StatHandle, Stats, StatsReport};
     pub use crate::store::SignalStore;
     pub use crate::supervisor::{
         BackpressureWriter, BudgetKind, CancelToken, MemoryGauge, RetryCause, RetryPolicy,

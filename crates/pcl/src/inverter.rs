@@ -28,8 +28,8 @@ const P_OUT: PortId = PortId(1);
 
 struct Inverter;
 
-impl Module for Inverter {
-    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+impl Inverter {
+    fn react_on(&self, ctx: &mut impl ReactPorts) -> Result<(), SimError> {
         ctx.set_ack(P_IN, 0, true)?;
         match ctx.data(P_IN, 0) {
             // Not resolved yet: stay silent; the kernel re-wakes us when
@@ -43,15 +43,19 @@ impl Module for Inverter {
         }
     }
 
-    fn commit(&mut self, _: &mut CommitCtx<'_>) -> Result<(), SimError> {
+    fn commit_on(&mut self, _: &mut impl CommitPorts) -> Result<(), SimError> {
         Ok(())
     }
+}
+
+impl Module for Inverter {
+    port_generic_handlers!();
 
     fn specialize(&self) -> Option<KernelHint> {
         // Odd rings have no fixed point; even rings do but need in-step
         // iteration. Either way the classifier keeps cyclic islands
-        // dynamic, so the hint is unconditional here.
-        Some(KernelHint::Inverter)
+        // dynamic, so the offer is unconditional here.
+        Some(KernelHint::Lanes)
     }
 }
 

@@ -13,22 +13,28 @@ const P_OUT: PortId = PortId(0);
 struct ScriptSource {
     script: Vec<Value>,
     next: usize,
+    s_emit: StatHandle,
 }
 
-impl Module for ScriptSource {
-    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+impl ScriptSource {
+    fn react_on(&self, ctx: &mut impl ReactPorts) -> Result<(), SimError> {
         match self.script.get(self.next) {
             Some(v) => ctx.send(P_OUT, 0, v.clone()),
             None => ctx.send_nothing(P_OUT, 0),
         }
     }
-    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+
+    fn commit_on(&mut self, ctx: &mut impl CommitPorts) -> Result<(), SimError> {
         if ctx.transferred_out(P_OUT, 0) {
             self.next += 1;
-            ctx.count("emitted", 1);
+            ctx.stats().count(&mut self.s_emit, "emitted", 1);
         }
         Ok(())
     }
+}
+
+impl Module for ScriptSource {
+    port_generic_handlers!();
 
     fn state_save(&self) -> Result<Vec<u8>, SimError> {
         // The script itself is configuration, not state: only the cursor
@@ -57,11 +63,7 @@ impl Module for ScriptSource {
     }
 
     fn specialize(&self) -> Option<KernelHint> {
-        // The classifier checks that every script value has a uniform
-        // unboxed shape; mixed or dynamic payloads stay on this handler.
-        Some(KernelHint::ScriptSource {
-            script: self.script.clone(),
-        })
+        Some(KernelHint::Lanes)
     }
 }
 
@@ -73,6 +75,7 @@ pub fn script(values: Vec<Value>) -> Instantiated {
         Box::new(ScriptSource {
             script: values,
             next: 0,
+            s_emit: StatHandle::new(),
         }),
     )
 }
@@ -80,28 +83,32 @@ pub fn script(values: Vec<Value>) -> Instantiated {
 /// Emits the same value on every connection, every cycle.
 struct RepeatingSource {
     value: Value,
+    s_emit: StatHandle,
 }
 
-impl Module for RepeatingSource {
-    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
+impl RepeatingSource {
+    fn react_on(&self, ctx: &mut impl ReactPorts) -> Result<(), SimError> {
         for i in 0..ctx.width(P_OUT) {
             ctx.send(P_OUT, i, self.value.clone())?;
         }
         Ok(())
     }
-    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+
+    fn commit_on(&mut self, ctx: &mut impl CommitPorts) -> Result<(), SimError> {
         for i in 0..ctx.width(P_OUT) {
             if ctx.transferred_out(P_OUT, i) {
-                ctx.count("emitted", 1);
+                ctx.stats().count(&mut self.s_emit, "emitted", 1);
             }
         }
         Ok(())
     }
+}
+
+impl Module for RepeatingSource {
+    port_generic_handlers!();
 
     fn specialize(&self) -> Option<KernelHint> {
-        Some(KernelHint::RepeatingSource {
-            value: self.value.clone(),
-        })
+        Some(KernelHint::Lanes)
     }
 }
 
@@ -109,7 +116,10 @@ impl Module for RepeatingSource {
 pub fn repeating(value: Value) -> Instantiated {
     (
         ModuleSpec::new("repeating_source").output("out", 0, u32::MAX),
-        Box::new(RepeatingSource { value }),
+        Box::new(RepeatingSource {
+            value,
+            s_emit: StatHandle::new(),
+        }),
     )
 }
 
@@ -121,25 +131,31 @@ struct SeqSource {
     step: u64,
     remaining: u64,
     period: u64,
+    s_emit: StatHandle,
 }
 
-impl Module for SeqSource {
-    fn react(&mut self, ctx: &mut ReactCtx<'_>) -> Result<(), SimError> {
-        let due = self.remaining > 0 && ctx.now() % self.period == 0;
+impl SeqSource {
+    fn react_on(&self, ctx: &mut impl ReactPorts) -> Result<(), SimError> {
+        let due = self.remaining > 0 && ctx.now().is_multiple_of(self.period);
         if due {
             ctx.send(P_OUT, 0, Value::Word(self.next_val))
         } else {
             ctx.send_nothing(P_OUT, 0)
         }
     }
-    fn commit(&mut self, ctx: &mut CommitCtx<'_>) -> Result<(), SimError> {
+
+    fn commit_on(&mut self, ctx: &mut impl CommitPorts) -> Result<(), SimError> {
         if ctx.transferred_out(P_OUT, 0) {
             self.next_val = self.next_val.wrapping_add(self.step);
             self.remaining -= 1;
-            ctx.count("emitted", 1);
+            ctx.stats().count(&mut self.s_emit, "emitted", 1);
         }
         Ok(())
     }
+}
+
+impl Module for SeqSource {
+    port_generic_handlers!();
 
     fn state_save(&self) -> Result<Vec<u8>, SimError> {
         // `step` and `period` are configuration; the generator's durable
@@ -163,12 +179,7 @@ impl Module for SeqSource {
     }
 
     fn specialize(&self) -> Option<KernelHint> {
-        Some(KernelHint::SeqSource {
-            start: self.start,
-            count: self.count,
-            step: self.step,
-            period: self.period,
-        })
+        Some(KernelHint::Lanes)
     }
 }
 
@@ -189,6 +200,7 @@ pub fn seq(params: &Params) -> Result<Instantiated, SimError> {
             step: params.int_or("step", 1)? as u64,
             remaining: count,
             period,
+            s_emit: StatHandle::new(),
         }),
     ))
 }
