@@ -39,6 +39,16 @@ impl<T> Res<T> {
         matches!(self, Res::No)
     }
 
+    /// Borrow the payload: `Res<&T>` with the same resolution.
+    #[inline]
+    pub fn as_ref(&self) -> Res<&T> {
+        match self {
+            Res::Unknown => Res::Unknown,
+            Res::No => Res::No,
+            Res::Yes(v) => Res::Yes(v),
+        }
+    }
+
     /// The payload if resolved `Yes`.
     pub fn as_yes(&self) -> Option<&T> {
         match self {

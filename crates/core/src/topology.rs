@@ -261,6 +261,13 @@ impl Topology {
         &self.ports_flat[self.inst_port_base[i] as usize..self.inst_port_base[i + 1] as usize]
     }
 
+    /// Index of the instance's first entry in the dense port table (the
+    /// start of [`Topology::hot_ports`]).
+    #[inline]
+    pub(crate) fn port_base(&self, inst: InstanceId) -> usize {
+        self.inst_port_base[inst.0 as usize] as usize
+    }
+
     /// The topology-global flattened port→edge slab that
     /// [`Topology::hot_ports`] entries index into.
     #[inline]
